@@ -2,7 +2,7 @@
 
 Times the pure event loop with no simulation payload: N pre-scheduled
 no-op events, and N chained events (each callback schedules its
-successor, the timer-wheel usage pattern).  Guards the tuple-keyed heap
+successor, the re-armed timer usage pattern).  Guards the tuple-keyed heap
 fast path: a regression here slows *every* figure reproduction.
 """
 

@@ -1,14 +1,12 @@
-"""Microbenchmark — scheduler cancel churn.
+"""Microbenchmark — kernel cancel churn.
 
-Stresses the part of the scheduler seam the other kernel micros do not:
-heavy :meth:`EventHandle.cancel` traffic against a mix of near and far
+Stresses the part of the kernel the other micros do not: heavy
+:meth:`EventHandle.cancel` traffic against a mix of near and far
 horizons.  Each round schedules three events — one imminent, two far
 out (the refresh-interval tail) — then cancels the two stragglers and
-runs the imminent one.  Under the timer wheel the cancelled far events
-must be reclaimed lazily from overflow or distant buckets without ever
-being dispatched; under the heap they sift through the root.  The far
-offsets use a prime stride so cancelled entries never collide into a
-single wheel bucket.
+runs the imminent one.  The cancelled far events stay on the heap
+until they surface, are then released to the event pool without being
+dispatched, and meanwhile sift through the root on every pop.
 """
 
 from __future__ import annotations
@@ -19,8 +17,8 @@ ROUNDS = 10_000
 _FAR_STRIDE = 997.0
 
 
-def _cancel_churn(kind: str) -> int:
-    kernel = Kernel(scheduler=kind)
+def _cancel_churn() -> int:
+    kernel = Kernel()
     fired = 0
     callback = lambda _k: None  # noqa: E731 - intentionally minimal payload
 
@@ -42,11 +40,6 @@ def _cancel_churn(kind: str) -> int:
     return fired
 
 
-def test_scheduler_cancel_churn_wheel(benchmark):
-    fired = benchmark(_cancel_churn, "wheel")
-    assert fired == ROUNDS
-
-
-def test_scheduler_cancel_churn_heap(benchmark):
-    fired = benchmark(_cancel_churn, "heap")
+def test_kernel_cancel_churn(benchmark):
+    fired = benchmark(_cancel_churn)
     assert fired == ROUNDS

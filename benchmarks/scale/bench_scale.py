@@ -1,10 +1,7 @@
 """Scale tier — a million simulated clients through a CDN edge tree.
 
-The scale driver wires the three million-client mechanisms together:
+The scale benchmark wires the two million-client mechanisms together:
 
-* the kernel's batch-dispatch seam plus the analytic fast-forward
-  engine (``fidelity="fastforward"``), which collapse idle poll runs
-  instead of dispatching them one event at a time;
 * sharded tree execution (``shards``/``workers``), which partitions
   the edge tree at a subtree boundary across worker processes;
 * a self-rescheduling :class:`ClientPump` per edge proxy, which keeps
@@ -138,9 +135,7 @@ def _attach_client_pumps(
         ).start()
 
 
-def _scale_config(
-    *, fidelity: str = "exact", shards: int = 1
-) -> SimulationConfig:
+def _scale_config(*, shards: int = 1) -> SimulationConfig:
     from repro.api.builder import SimulationBuilder
 
     return (
@@ -153,7 +148,6 @@ def _scale_config(
         )
         .seed(SEED)
         .horizon(HORIZON_S)
-        .fidelity(fidelity)
         .shards(shards)
         .build()
     )
@@ -162,7 +156,6 @@ def _scale_config(
 def run_scale(
     clients: int,
     *,
-    fidelity: str = "exact",
     shards: int = 1,
     workers: Optional[int] = None,
 ) -> SimulationOutcome:
@@ -174,7 +167,7 @@ def run_scale(
         seed=SEED,
     )
     return run_simulation(
-        _scale_config(fidelity=fidelity, shards=shards),
+        _scale_config(shards=shards),
         workers=workers,
         instrument=instrument,
     )
@@ -202,9 +195,6 @@ def test_scale_million_clients(run_once):
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--clients", type=int, default=10_000)
-    parser.add_argument(
-        "--fidelity", choices=("exact", "fastforward"), default="exact"
-    )
     parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument(
@@ -220,12 +210,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.perf_counter()
     outcome = run_scale(
         args.clients,
-        fidelity=args.fidelity,
         shards=args.shards,
         workers=args.workers,
     )
     elapsed = time.perf_counter() - started
-    label = f"fidelity={args.fidelity} shards={args.shards}"
+    label = f"shards={args.shards}"
     if args.shards == 1:
         print(
             f"scale run ({label}): {clients_served(outcome):,} clients "

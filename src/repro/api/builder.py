@@ -39,7 +39,6 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycle
     from repro.groups.registry import GroupRegistry
-    from repro.sim.kernel import Kernel
     from repro.sim.tracing import EventLog
     from repro.topology.sharding import ShardSelection
 
@@ -309,65 +308,6 @@ def _resolve_horizon(
     return horizon
 
 
-def _check_fastforward(config: SimulationConfig) -> None:
-    """Reject fast-forward configs with latent links up front.
-
-    The analytic engine requires polls to complete inline (see
-    :mod:`repro.sim.fastforward`); a latent link would surface later as
-    a :class:`~repro.core.errors.SimulationError` mid-build, so the
-    config error is raised here before any simulation state exists.
-    """
-    if config.fidelity != "fastforward":
-        return
-
-    def latent(network: NetworkConfig) -> bool:
-        return network.one_way_latency_s != 0 or network.jitter_s != 0
-
-    if config.topology.kind == "tree":
-        bad = any(
-            latent(
-                level.network
-                if level.network is not None
-                else config.network
-            )
-            for level in config.topology.levels
-        )
-    else:
-        bad = latent(config.network)
-    if bad:
-        raise SimulationConfigError(
-            'fidelity="fastforward" requires synchronous links: every '
-            "level must have zero one-way latency and zero jitter"
-        )
-
-
-def _run_to_horizon(
-    config: SimulationConfig,
-    kernel: "Kernel",
-    tree: TopologyTree,
-    horizon: float,
-) -> None:
-    """Advance the built simulation to its horizon.
-
-    ``fidelity="exact"`` steps the kernel event by event;
-    ``"fastforward"`` routes through the analytic engine, which
-    produces byte-identical observable histories (see
-    :mod:`repro.sim.fastforward` for the two documented exceptions).
-    """
-    if config.fidelity == "fastforward":
-        from repro.sim.fastforward import FastForwardEngine
-
-        engine = FastForwardEngine(
-            kernel, [node.proxy for node in tree.nodes]
-        )
-        try:
-            engine.run(horizon)
-        finally:
-            engine.close()
-    else:
-        kernel.run(until=horizon)
-
-
 #: Columnar result-row batches keyed by their node's ``(level, index)``
 #: — the sort key sharded execution merges on.  Batches carry only the
 #: :data:`~repro.metrics.collector.OBJECT_ROW_COLUMNS` subset (smaller
@@ -490,7 +430,7 @@ def _run_tree(
         instrument(tree)
 
     horizon = _resolve_horizon(config, traces, levels)
-    _run_to_horizon(config, kernel, tree, horizon)
+    kernel.run(until=horizon)
 
     owns = selection.owns if selection is not None else None
     keyed = _keyed_tree_rows(
@@ -574,7 +514,6 @@ def run_simulation(
     under sharding it is pickled to worker processes, so it must be a
     module-level callable or a :class:`functools.partial` over one.
     """
-    _check_fastforward(config)
     if instrument is not None and config.topology.kind != "tree":
         raise SimulationConfigError(
             "instrument hooks require the 'tree' topology, "
@@ -643,7 +582,7 @@ def run_simulation(
         )
 
     horizon = _resolve_horizon(config, traces, levels)
-    _run_to_horizon(config, kernel, tree, horizon)
+    kernel.run(until=horizon)
 
     edges = [node.proxy for node in tree.edge_nodes] if hierarchy else []
     delta = config.fidelity_delta_s
@@ -894,16 +833,6 @@ class SimulationBuilder:
     def log_events(self, enabled: bool = True) -> "SimulationBuilder":
         """Enable (or disable) event-log recording."""
         self._config = replace(self._config, log_events=enabled)
-        return self
-
-    def fidelity(self, mode: str) -> "SimulationBuilder":
-        """Select the execution fidelity (``exact`` or ``fastforward``).
-
-        ``fastforward`` advances analytically through event-free
-        intervals; observable histories stay byte-identical to
-        ``exact`` (see :mod:`repro.sim.fastforward`).
-        """
-        self._config = replace(self._config, fidelity=mode)
         return self
 
     def shards(self, count: int) -> "SimulationBuilder":

@@ -41,10 +41,9 @@ C = TypeVar("C", bound="_ConfigBase")
 #: Topology kinds the assembly layer understands.
 TOPOLOGY_KINDS = ("single", "hierarchy", "tree")
 
-#: Execution fidelities: ``exact`` dispatches every timer event;
-#: ``fastforward`` advances analytically through event-free intervals
-#: (:mod:`repro.sim.fastforward`) with byte-identical result rows.
-FIDELITY_MODES = ("exact", "fastforward")
+#: Execution fidelities: ``exact`` dispatches every timer event through
+#: the kernel, and is the only mode.
+FIDELITY_MODES = ("exact",)
 
 
 class SimulationConfigError(ReproError):
@@ -692,8 +691,7 @@ class SimulationConfig(_ConfigBase):
         groups: Mutual-consistency groups (explicit member lists and/or
             dependency-edge components); a non-empty section attaches a
             group registry and mutual-temporal coordinators per node
-            and adds per-group violation rows.  Requires ``shards=1``
-            and ``fidelity="exact"``.
+            and adds per-group violation rows.  Requires ``shards=1``.
         seed: Root RNG seed (derives every substream).
         horizon_s: Stop time; ``None`` runs to the longest trace end.
         fidelity_delta_s: Δt used for the fidelity columns of the
@@ -702,11 +700,8 @@ class SimulationConfig(_ConfigBase):
         want_history: Whether the proxy requests update history.
         log_events: Whether to record the event log (costly; off by
             default).
-        fidelity: ``"exact"`` (default) dispatches every timer event
-            through the kernel; ``"fastforward"`` advances analytically
-            through event-free intervals — same result rows, far fewer
-            dispatched events.  Fast-forward requires zero-latency
-            links.
+        fidelity: ``"exact"``, the only mode: every timer event is
+            dispatched through the kernel.
         shards: Worker-process partitions for ``tree`` topologies
             (``1`` = unsharded).  The tree is split at a subtree
             boundary level and shards merge deterministically — rows
@@ -760,6 +755,12 @@ class SimulationConfig(_ConfigBase):
         for name in ("supports_history", "want_history", "log_events"):
             _require_bool("simulation", name, getattr(self, name))
         _require_str("simulation", "fidelity", self.fidelity)
+        if self.fidelity == "fastforward":
+            raise SimulationConfigError(
+                'simulation.fidelity "fastforward" is no longer supported: '
+                "the analytic fast-forward engine was removed; use "
+                '"exact" (same result rows)'
+            )
         if self.fidelity not in FIDELITY_MODES:
             raise SimulationConfigError(
                 f"simulation.fidelity must be one of {FIDELITY_MODES}, "
@@ -781,12 +782,6 @@ class SimulationConfig(_ConfigBase):
                 "groups cannot combine with shards > 1: a group's members "
                 "may span shard cones, and the coordinator needs to "
                 "observe every member's polls on one proxy"
-            )
-        if self.groups.enabled and self.fidelity == "fastforward":
-            raise SimulationConfigError(
-                'groups require fidelity="exact": mutual-trigger polls '
-                "are event-driven and the analytic fast-forward engine "
-                "would skip past them"
             )
 
     # ------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """RL1xx — determinism rules.
 
 Every result in this reproduction depends on simulations being
-bit-identical across serial, ``--workers N``, sharded, and
-fast-forward execution (the golden suite pins it dynamically).  These
+bit-identical across serial, ``--workers N``, and sharded execution
+(the golden suite pins it dynamically).  These
 rules reject the classic nondeterminism sources *statically*, before a
 violation can scramble a golden:
 
@@ -16,13 +16,12 @@ violation can scramble a golden:
 * RL104 — ``hash()`` / ``id()`` in orderings (sort keys, comparison
   dunders): both vary per process under PYTHONHASHSEED / allocation.
 * RL105 — ``heapq`` imports outside ``repro.sim``: event scheduling
-  must go through the kernel's pluggable scheduler seam
-  (:func:`repro.sim.kernel.make_scheduler`), not ad-hoc private heaps,
-  so every queue dispatches in the pinned (time, sequence) order.
+  must go through :class:`repro.sim.kernel.Kernel`, not ad-hoc private
+  heaps, so every queue dispatches in the pinned (time, sequence) order.
 
 RL101–RL104 are scoped to the simulator's deterministic core; analysis
 or tooling code outside those packages may legitimately read clocks.
-RL105 is repo-wide, with ``repro.sim`` itself (the seam's home) exempt.
+RL105 is repo-wide, with ``repro.sim`` itself (the kernel's home) exempt.
 """
 
 from __future__ import annotations
@@ -356,24 +355,22 @@ class SetIterationRule(LintRule):
 
 @register_rule
 class HeapqOutsideKernelRule(LintRule):
-    """RL105: no ``heapq`` imports outside the kernel seam's home."""
+    """RL105: no ``heapq`` imports outside the kernel's home."""
 
     code = "RL105"
     name = "heapq-outside-kernel"
     description = (
-        "Importing heapq outside repro.sim bypasses the kernel's "
-        "pluggable scheduler seam (Scheduler / make_scheduler); "
-        "schedule through the seam so wheel and heap stay "
-        "interchangeable and dispatch order stays pinned."
+        "Importing heapq outside repro.sim bypasses the event kernel; "
+        "schedule through repro.sim.kernel.Kernel so dispatch order "
+        "stays pinned to (time, sequence)."
     )
     # Repo-wide: a private heap anywhere in the simulator or its
-    # drivers re-implements scheduling outside the seam.
+    # harnesses re-implements scheduling outside the kernel.
     scope = ()
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if ctx.in_packages(("sim",)):
-            # The seam's own home: the reference HeapScheduler and the
-            # wheel's far-future overflow spill legitimately use heapq.
+            # The kernel's own home: its event queue is a heapq heap.
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
@@ -384,17 +381,15 @@ class HeapqOutsideKernelRule(LintRule):
                         yield self.diagnostic(
                             ctx.path,
                             node,
-                            "heapq import outside repro.sim; route "
-                            "scheduling through the kernel's scheduler "
-                            "seam (repro.sim.kernel.make_scheduler)",
+                            "heapq import outside repro.sim; schedule "
+                            "through repro.sim.kernel.Kernel",
                         )
             elif isinstance(node, ast.ImportFrom) and node.module == "heapq":
                 yield self.diagnostic(
                     ctx.path,
                     node,
-                    "heapq import outside repro.sim; route scheduling "
-                    "through the kernel's scheduler seam "
-                    "(repro.sim.kernel.make_scheduler)",
+                    "heapq import outside repro.sim; schedule "
+                    "through repro.sim.kernel.Kernel",
                 )
 
 

@@ -13,8 +13,8 @@ that property from regressing:
   only on the rare path that executes it — this catches it statically);
 * RL203 — no exception swallowing as control flow (an ``except:`` arm
   that is just ``pass`` / ``continue`` / ``break``) in kernel-adjacent
-  code: ``run_batch``-dispatched callbacks must not hide errors or
-  lean on exceptions for branching.
+  code: kernel-dispatched callbacks must not hide errors or lean on
+  exceptions for branching.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ class ExceptControlFlowRule(LintRule):
     name = "except-control-flow"
     description = (
         "An except arm that is just pass/continue/break swallows "
-        "errors as branching; run_batch-dispatched callbacks must "
+        "errors as branching; kernel-dispatched callbacks must "
         "surface failures (or test the condition explicitly)."
     )
     scope = HOT_PATH_SCOPE

@@ -217,13 +217,6 @@ class ProxyCache:
     def registered_objects(self) -> List[ObjectId]:
         return list(self._refreshers)
 
-    def server_for(self, object_id: ObjectId) -> RequestTarget:
-        """The upstream this object's polls go to (origin or parent proxy)."""
-        server = self._servers.get(object_id)
-        if server is None:
-            raise UnknownObjectError(str(object_id), where="proxy server bindings")
-        return server
-
     # ------------------------------------------------------------------
     # Client-facing request path
     # ------------------------------------------------------------------

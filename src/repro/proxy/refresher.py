@@ -6,15 +6,6 @@ exposes the next/previous poll instants that the mutual-consistency
 coordinators consult (Section 3.2: "an additional poll is triggered for
 an object only if its next/previous poll instant is more than δ time
 units away").
-
-Fast-forward mode: the analytic engine in :mod:`repro.sim.fastforward`
-detaches the refresher from its kernel timer (:meth:`detach_timer`).
-While detached, re-arming is pure arithmetic — the next poll instant is
-recorded on the refresher and reported through a reschedule hook
-instead of allocating a kernel event — and the engine delivers expiries
-directly via :meth:`fire_expired`.  Every other observable effect of a
-poll (policy feeding, last-poll bookkeeping, coordinator-visible
-next/previous instants) is identical in both modes.
 """
 
 from __future__ import annotations
@@ -23,7 +14,6 @@ import math
 from typing import Callable, Optional
 
 from repro.consistency.base import RefreshPolicy
-from repro.core.errors import SimulationError
 from repro.core.events import PollReason
 from repro.core.types import ObjectId, PollOutcome, Seconds
 from repro.sim.kernel import Kernel
@@ -33,12 +23,6 @@ from repro.sim.timers import RestartableTimer
 #: coordinator forces an early refresh.  The proxy wires this to its
 #: internal poll path.
 PollIssuer = Callable[[ObjectId, PollReason], None]
-
-#: Fast-forward hook: called with (refresher, next poll time) whenever a
-#: detached refresher re-arms — or with ``None`` when it disarms — so
-#: the engine can queue the new instant or cancel the queued one.
-RescheduleHook = Callable[["Refresher", Optional[Seconds]], None]
-
 
 class Refresher:
     """Drives periodic refreshes for one cached object."""
@@ -51,9 +35,6 @@ class Refresher:
         "_timer",
         "_last_poll_time",
         "_stopped",
-        "_detached",
-        "_ff_next_poll",
-        "_ff_hook",
     )
 
     def __init__(
@@ -72,30 +53,6 @@ class Refresher:
         )
         self._last_poll_time: Optional[Seconds] = None
         self._stopped = False
-        self._detached = False
-        self._ff_next_poll: Optional[Seconds] = None
-        self._ff_hook: Optional[RescheduleHook] = None
-
-    # ------------------------------------------------------------------
-    # Arming (timer-backed, or arithmetic while detached)
-    # ------------------------------------------------------------------
-    def _arm_at(self, when: Seconds) -> None:
-        if self._detached:
-            self._ff_next_poll = when
-            hook = self._ff_hook
-            assert hook is not None
-            hook(self, when)
-        else:
-            self._timer.arm_at(when)
-
-    def _disarm(self) -> None:
-        if self._detached:
-            self._ff_next_poll = None
-            hook = self._ff_hook
-            assert hook is not None
-            hook(self, None)
-        else:
-            self._timer.disarm()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -109,12 +66,12 @@ class Refresher:
         """
         ttr = self._policy.first_ttr()
         if math.isfinite(ttr):
-            self._arm_at(self._kernel.now() + ttr)
+            self._timer.arm_at(self._kernel.now() + ttr)
 
     def stop(self) -> None:
         """Permanently stop refreshing this object."""
         self._stopped = True
-        self._disarm()
+        self._timer.disarm()
 
     def recover(self) -> None:
         """Proxy-failure recovery: reset the policy and restart polling.
@@ -126,88 +83,14 @@ class Refresher:
         if self._stopped:
             return
         self._policy.reset()
-        self._disarm()
+        self._timer.disarm()
         ttr = self._policy.first_ttr()
         if math.isfinite(ttr):
-            self._arm_at(self._kernel.now() + ttr)
+            self._timer.arm_at(self._kernel.now() + ttr)
 
     @property
     def stopped(self) -> bool:
         return self._stopped
-
-    # ------------------------------------------------------------------
-    # Fast-forward mode (see repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    @property
-    def detached(self) -> bool:
-        """True while the analytic engine owns this refresher's schedule."""
-        return self._detached
-
-    def detach_timer(self, on_reschedule: RescheduleHook) -> Optional[Seconds]:
-        """Enter fast-forward mode: disarm the kernel timer.
-
-        Subsequent re-arms become arithmetic updates reported through
-        ``on_reschedule`` instead of kernel events.  Returns the poll
-        instant the timer was armed for (``None`` if unarmed), which
-        becomes the engine's first queue entry for this refresher.
-        """
-        if self._detached:
-            raise SimulationError(
-                f"refresher for {self._object_id!r} is already detached"
-            )
-        when = self._timer.next_fire_time
-        self._timer.disarm()
-        self._detached = True
-        self._ff_hook = on_reschedule
-        self._ff_next_poll = when
-        return when
-
-    def reattach_timer(self) -> None:
-        """Leave fast-forward mode, re-arming the kernel timer if due."""
-        if not self._detached:
-            return
-        when = self._ff_next_poll
-        self._detached = False
-        self._ff_hook = None
-        self._ff_next_poll = None
-        if when is not None and not self._stopped:
-            self._timer.arm_at(when)
-
-    def fire_expired(self) -> None:
-        """Deliver the TTR expiry the detached timer would have fired.
-
-        Called by the fast-forward engine after advancing the kernel
-        clock to the scheduled poll instant; mirrors the timer callback
-        exactly (the pending instant is consumed, then the poll issues
-        and :meth:`on_poll_complete` re-arms).
-        """
-        if not self._detached:
-            raise SimulationError(
-                f"fire_expired on attached refresher for {self._object_id!r}"
-            )
-        if self._stopped:
-            return
-        self._ff_next_poll = None
-        self._issue_poll(self._object_id, PollReason.TTR_EXPIRED)
-
-    def apply_idle_polls(
-        self, last_poll_time: Seconds, next_poll_time: Seconds
-    ) -> None:
-        """Bookkeeping for a bulk run of idle (304) polls.
-
-        The engine's closed-form tier records the polls' cache/counter
-        effects itself; this applies what :meth:`on_poll_complete` would
-        have left behind after the final poll of the run.  Only legal
-        while detached and for policies whose idle TTR is constant
-        (``policy.idle_fixed_ttr()``), so skipping the per-poll
-        ``next_ttr`` calls cannot change policy state.
-        """
-        if not self._detached:
-            raise SimulationError(
-                f"apply_idle_polls on attached refresher for {self._object_id!r}"
-            )
-        self._last_poll_time = last_poll_time
-        self._arm_at(next_poll_time)
 
     # ------------------------------------------------------------------
     # Coordinator-facing state
@@ -223,8 +106,6 @@ class Refresher:
     @property
     def next_poll_time(self) -> Optional[Seconds]:
         """Absolute time of the next scheduled poll (None if unarmed)."""
-        if self._detached:
-            return self._ff_next_poll
         return self._timer.next_fire_time
 
     @property
@@ -260,7 +141,7 @@ class Refresher:
         if self._stopped:
             return
         if reschedule:
-            self._disarm()
+            self._timer.disarm()
         self._issue_poll(self._object_id, reason)
 
     def on_triggered_poll(self, outcome: PollOutcome) -> None:
@@ -277,7 +158,7 @@ class Refresher:
         self._last_poll_time = outcome.poll_time
         ttr = self._policy.next_ttr(outcome)
         if not self._stopped and math.isfinite(ttr):
-            self._arm_at(self._kernel.now() + ttr)
+            self._timer.arm_at(self._kernel.now() + ttr)
 
     def _on_timer(self, _now: Seconds) -> None:
         if self._stopped:

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
 A classic priority-queue DES: events are ``(time, sequence, record)``
-entries on a pluggable :class:`Scheduler`; the kernel pops the earliest
+tuples on a binary heap (:mod:`heapq`); the kernel pops the earliest
 event, advances the clock to its timestamp, and invokes the callback.
 Ties are broken by the monotonically increasing sequence number (FIFO
 insertion order), which makes runs deterministic for a given seed and
@@ -10,47 +10,38 @@ schedule.
 Hot-path design (every simulated poll passes through here several
 times):
 
-* Scheduler entries are plain tuples, so ordering is resolved by
-  C-level tuple comparison on ``(time, sequence)`` — no rich-comparison
-  methods on event objects ever run, and the sequence tiebreaker
-  guarantees the payload in slot 2 is never compared.
+* Heap entries are plain tuples, so ordering is resolved by C-level
+  tuple comparison on ``(time, sequence)`` — no rich-comparison methods
+  on event objects ever run, and the sequence tiebreaker guarantees the
+  payload in slot 2 is never compared.
 * The mutable per-event state lives in a ``__slots__`` record
-  (:class:`_Event`) shared between the scheduler and the
+  (:class:`_Event`) shared between the heap entry and the
   :class:`EventHandle` returned to the caller, so cancellation needs no
   side-table lookup.
-* Fired events are recycled through a free list instead of allocated
-  per schedule: :meth:`Kernel.schedule_raw` reuses the record and bumps
-  its ``generation`` so stale handles can tell a recycled event from
-  their own.  Cancelled events are reclaimed lazily when the scheduler
-  skips them.
-* :meth:`Kernel._drain` binds hot attributes to locals; cancelled
-  events are skipped lazily when popped.
+* Event records are pooled.  A fired record is released to the free
+  list just before its callback runs; a cancelled record stays on the
+  heap until it surfaces, and is released when :meth:`Kernel._drain`
+  skips it.  :meth:`Kernel.schedule_raw` reuses a free record and bumps
+  its ``generation``, so a stale handle can tell a recycled event from
+  its own.
+* :meth:`Kernel._drain` binds hot attributes to locals and pops inline.
 
-The scheduler seam has two implementations: :class:`HeapScheduler`
-(the reference ``heapq`` priority queue, kept for differential testing)
-and the default :class:`repro.sim.wheel.TimerWheelScheduler` (an
-amortized O(1) calendar queue).  Both dispatch in bit-identical
-``(time, sequence)`` order — pinned by the hypothesis equivalence suite
-in ``tests/test_scheduler_equivalence.py``.
+Event times must be finite and not in the past; anything else (NaN,
+infinity, an earlier time) raises ``SimulationError`` at scheduling
+time, so the heap only ever holds totally ordered keys.
 
 The kernel is deliberately small — no coroutines, no channels — because
-the paper's simulation only needs timers (TTR expirations and trace
-updates).  The :mod:`repro.sim.process` module layers a lightweight
-process abstraction on top for components that prefer that style.
+the paper's simulation only needs timers (TTR expirations, triggered
+polls and trace updates).  The :mod:`repro.sim.process` module layers a
+lightweight process abstraction on top for components that prefer that
+style.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import (
-    Callable,
-    Generic,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    TypeVar,
-)
+import math
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.errors import SchedulingInPastError, SimulationError
 from repro.core.types import Seconds
@@ -59,124 +50,20 @@ from repro.core.types import Seconds
 #: follow-up events; the current time is ``kernel.now()``.
 EventCallback = Callable[["Kernel"], None]
 
-
-class Cancellable(Protocol):
-    """An item a :class:`Scheduler` can lazily skip once flagged."""
-
-    cancelled: bool
+_INF = math.inf
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
-_ItemT = TypeVar("_ItemT", bound=Cancellable)
-
-#: A scheduler entry: (time, sequence, item).  Comparison never reaches
-#: the item because sequence numbers are unique.
-SchedulerEntry = Tuple[Seconds, int, _ItemT]
-
-
-class Scheduler(Protocol[_ItemT]):
-    """The pluggable priority-queue seam under the kernel.
-
-    Implementations must dispatch in exact ``(time, sequence)`` order —
-    including same-tick sequence tie-breaks — so the choice of scheduler
-    is unobservable to the simulation.  Cancellation is lazy: items
-    flagged ``cancelled`` are skipped (and reported to the reclaim hook)
-    when they would otherwise surface.
-    """
-
-    def push(self, when: Seconds, sequence: int, item: _ItemT) -> None:
-        """Insert ``item`` keyed by ``(when, sequence)``."""
-        ...
-
-    def peek(self) -> Optional[Tuple[Seconds, int, _ItemT]]:
-        """The earliest pending entry, or None; drops cancelled heads."""
-        ...
-
-    def pop(
-        self, until: Optional[Seconds] = None
-    ) -> Optional[Tuple[Seconds, int, _ItemT]]:
-        """Remove and return the earliest pending entry.
-
-        With ``until`` given, an entry later than ``until`` is left in
-        place and None is returned (entries exactly at ``until`` pop).
-        """
-        ...
-
-    def advance(self, to: Seconds) -> None:
-        """Note an analytic clock jump through an event-free interval."""
-        ...
-
-    def pending_count(self) -> int:
-        """Number of queued non-cancelled entries."""
-        ...
-
-
-class HeapScheduler(Generic[_ItemT]):
-    """The reference scheduler: a binary heap of entry tuples.
-
-    O(log n) push/pop via :mod:`heapq`.  Kept as the behavioral oracle
-    for the timer wheel (``Kernel(scheduler="heap")``) and for
-    differential tests; the wheel must match it byte for byte.
-    """
-
-    __slots__ = ("_heap", "_reclaim")
-
-    def __init__(
-        self, on_reclaim: Optional[Callable[[_ItemT], None]] = None
-    ) -> None:
-        self._heap: List[Tuple[Seconds, int, _ItemT]] = []
-        self._reclaim = on_reclaim
-
-    def push(self, when: Seconds, sequence: int, item: _ItemT) -> None:
-        heapq.heappush(self._heap, (when, sequence, item))
-
-    def peek(self) -> Optional[Tuple[Seconds, int, _ItemT]]:
-        heap = self._heap
-        reclaim = self._reclaim
-        pop = heapq.heappop
-        while heap:
-            head = heap[0]
-            if head[2].cancelled:
-                pop(heap)
-                if reclaim is not None:
-                    reclaim(head[2])
-                continue
-            return head
-        return None
-
-    def pop(
-        self, until: Optional[Seconds] = None
-    ) -> Optional[Tuple[Seconds, int, _ItemT]]:
-        head = self.peek()
-        if head is None or (until is not None and head[0] > until):
-            return None
-        heapq.heappop(self._heap)
-        return head
-
-    def advance(self, to: Seconds) -> None:
-        """Clock jumps need no bookkeeping in a heap."""
-
-    def pending_count(self) -> int:
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
-
-    def __repr__(self) -> str:
-        return f"HeapScheduler(queued={len(self._heap)})"
-
-
-def make_scheduler(
-    kind: str, on_reclaim: Optional[Callable[[_ItemT], None]] = None
-) -> "Scheduler[_ItemT]":
-    """Build a scheduler by kind (``"wheel"`` or ``"heap"``)."""
-    if kind == "wheel":
-        from repro.sim.wheel import TimerWheelScheduler
-
-        return TimerWheelScheduler(on_reclaim=on_reclaim)
-    if kind == "heap":
-        return HeapScheduler(on_reclaim=on_reclaim)
-    raise ValueError(f"unknown scheduler kind {kind!r} (use 'wheel' or 'heap')")
+def _bad_time(now: Seconds, when: Seconds) -> SimulationError:
+    """The error for an event time outside ``[now, inf)``."""
+    if when < now:
+        return SchedulingInPastError(now, when)
+    return SimulationError(f"event time must be finite, got t={when}")
 
 
 class _Event:
-    """Mutable per-event state shared by the scheduler and its handle.
+    """Mutable per-event state shared by the heap entry and its handle.
 
     Ordering lives in the enclosing ``(time, sequence, event)`` entry
     tuple, never here — this record only carries the callback and the
@@ -199,7 +86,7 @@ class _Event:
 class EventHandle:
     """A handle to a scheduled event, usable to cancel it.
 
-    Cancellation is lazy: the scheduler entry is flagged and skipped
+    Cancellation is lazy: the heap entry is flagged and skipped
     when it reaches the head of the queue.  Cancelling an already-fired
     or already-cancelled event is an error (it usually indicates a
     bookkeeping bug in the caller), surfaced as ``SimulationError``.
@@ -280,10 +167,6 @@ class Kernel:
 
     Args:
         start_time: Initial clock value.
-        scheduler: ``"wheel"`` (default — the O(1) calendar queue in
-            :mod:`repro.sim.wheel`) or ``"heap"`` (the reference binary
-            heap).  Dispatch order is identical; the knob exists for
-            differential testing and benchmarking.
 
     Example:
         >>> k = Kernel()
@@ -296,27 +179,19 @@ class Kernel:
 
     __slots__ = (
         "_now",
-        "_scheduler",
-        "_scheduler_kind",
-        "_push",
+        "_heap",
         "_sequence",
         "_running",
         "_events_processed",
         "_free",
     )
 
-    def __init__(
-        self, start_time: Seconds = 0.0, *, scheduler: str = "wheel"
-    ) -> None:
-        if start_time < 0:
-            raise ValueError(f"start_time must be >= 0, got {start_time}")
+    def __init__(self, start_time: Seconds = 0.0) -> None:
+        if not 0 <= start_time < _INF:
+            raise ValueError(f"start_time must be finite and >= 0, got {start_time}")
         self._now: Seconds = start_time
+        self._heap: List[Tuple[Seconds, int, _Event]] = []
         self._free: List[_Event] = []
-        self._scheduler: Scheduler[_Event] = make_scheduler(
-            scheduler, on_reclaim=self._free.append
-        )
-        self._scheduler_kind = scheduler
-        self._push = self._scheduler.push
         self._sequence = 0
         self._running = False
         self._events_processed = 0
@@ -330,8 +205,8 @@ class Kernel:
 
     @property
     def scheduler_kind(self) -> str:
-        """Which scheduler implementation backs this kernel."""
-        return self._scheduler_kind
+        """The event-queue implementation, stamped into run reports."""
+        return "heap"
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -350,9 +225,10 @@ class Kernel:
 
         Raises:
             SchedulingInPastError: if ``when`` precedes the current time.
+            SimulationError: if ``when`` is NaN or infinite.
         """
-        if when < self._now:
-            raise SchedulingInPastError(self._now, when)
+        if not self._now <= when < _INF:
+            raise _bad_time(self._now, when)
         free = self._free
         if free:
             event = free.pop()
@@ -366,7 +242,7 @@ class Kernel:
             event = _Event(when, callback, label)
         sequence = self._sequence
         self._sequence = sequence + 1
-        self._push(when, sequence, event)
+        _heappush(self._heap, (when, sequence, event))
         return event
 
     def schedule_at(
@@ -376,12 +252,13 @@ class Kernel:
 
         Raises:
             SchedulingInPastError: if ``when`` precedes the current time.
+            SimulationError: if ``when`` is NaN or infinite.
         """
         # Mirrors schedule_raw rather than calling it: this is the
         # public per-event entry point, and the extra frame is
         # measurable under client-arrival workloads.
-        if when < self._now:
-            raise SchedulingInPastError(self._now, when)
+        if not self._now <= when < _INF:
+            raise _bad_time(self._now, when)
         free = self._free
         if free:
             event = free.pop()
@@ -395,7 +272,7 @@ class Kernel:
             event = _Event(when, callback, label)
         sequence = self._sequence
         self._sequence = sequence + 1
-        self._push(when, sequence, event)
+        _heappush(self._heap, (when, sequence, event))
         return EventHandle(event)
 
     def schedule_after(
@@ -415,31 +292,37 @@ class Kernel:
         Returns:
             True if an event was processed, False if the queue is empty.
         """
-        return self._drain(None, 1) == 1
+        return self._drain(_INF, 1) == 1
 
-    def _drain(self, until: Optional[Seconds], max_events: Optional[int]) -> int:
+    def _drain(self, until: Seconds, max_events: Optional[int]) -> int:
         """Dispatch pending events in (time, sequence) order.
 
-        The single lazy-cancel pop loop behind :meth:`step`,
-        :meth:`run`, and :meth:`run_batch`: the scheduler skips
-        cancelled entries, the loop stops at the first event past
-        ``until`` (events exactly at ``until`` are dispatched), and the
-        clock is left at the last dispatched event.  Fired records are
-        released to the free list *before* their callback runs, so the
-        fire→re-arm pattern reuses the same record without growing the
-        pool.  Callers own the ``_running`` guard and the end-of-run
-        clock policy.
+        The single pop loop behind :meth:`step` and :meth:`run`.
+        Cancelled entries are released to the free list as they
+        surface; the loop stops at the first event past ``until``
+        (events exactly at ``until`` are dispatched; the later event is
+        pushed back unchanged), and the clock is left at the last
+        dispatched event.  Fired records are released to the free list
+        *before* their callback runs, so the fire→re-arm pattern reuses
+        the same record without growing the pool.  Callers own the
+        ``_running`` guard and the end-of-run clock policy.
         """
         processed = 0
-        pop = self._scheduler.pop
+        heap = self._heap
+        pop = _heappop
         free = self._free
         try:
-            while processed != max_events:
-                entry = pop(until)
-                if entry is None:
-                    break
+            while heap and processed != max_events:
+                entry = pop(heap)
                 event = entry[2]
-                self._now = entry[0]
+                if event.cancelled:
+                    free.append(event)
+                    continue
+                when = entry[0]
+                if when > until:
+                    _heappush(heap, entry)
+                    break
+                self._now = when
                 event.fired = True
                 callback = event.callback
                 free.append(event)
@@ -463,13 +346,18 @@ class Kernel:
         Events scheduled exactly at ``until`` are processed; the clock is
         advanced to ``until`` at the end even when the queue empties
         earlier, so time-weighted statistics cover the full horizon.
+        A run cut short by ``max_events`` leaves the clock at the last
+        dispatched event instead, since events before ``until`` may
+        still be pending.
 
         Returns:
             The number of events processed by this call.
         """
         if self._running:
             raise SimulationError("kernel is already running (re-entrant run())")
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
+            if math.isnan(until):
+                raise SimulationError("cannot run until t=nan")
             raise SimulationError(
                 f"cannot run until t={until}, already at t={self._now}"
             )
@@ -477,8 +365,8 @@ class Kernel:
         before = self._events_processed
         processed = 0
         try:
-            processed = self._drain(until, max_events)
-            if until is not None and self._now < until:
+            processed = self._drain(_INF if until is None else until, max_events)
+            if until is not None and processed != max_events and self._now < until:
                 self._now = until
         finally:
             self._running = False
@@ -486,79 +374,13 @@ class Kernel:
             _TOTAL_EVENTS += self._events_processed - before
         return processed
 
-    def run_batch(
-        self,
-        until: Seconds,
-        *,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Drain every pending event with time <= ``until`` in one call.
-
-        The batch-dispatch seam behind the analytic fast-forward engine
-        (:mod:`repro.sim.fastforward`): event ordering and bookkeeping
-        are identical to :meth:`run`, but the clock is left at the last
-        dispatched event — never finalized to ``until`` — so a caller
-        can interleave dispatch batches with :meth:`advance_clock`
-        jumps through intervals it has proven event-free.
-
-        Returns:
-            The number of events processed by this call.
-        """
-        if self._running:
-            raise SimulationError(
-                "kernel is already running (re-entrant run_batch())"
-            )
-        if until < self._now:
-            raise SimulationError(
-                f"cannot run batch until t={until}, already at t={self._now}"
-            )
-        self._running = True
-        before = self._events_processed
-        processed = 0
-        try:
-            processed = self._drain(until, max_events)
-        finally:
-            self._running = False
-            global _TOTAL_EVENTS
-            _TOTAL_EVENTS += self._events_processed - before
-        return processed
-
-    def peek_next_time(self) -> Optional[Seconds]:
-        """Earliest pending event time, or ``None`` when the queue is empty.
-
-        Cancelled heads are dropped as a side effect, so the returned
-        time always belongs to an event that will actually fire.
-        """
-        entry = self._scheduler.peek()
-        return entry[0] if entry is not None else None
-
-    def advance_clock(self, to: Seconds) -> None:
-        """Move the clock forward through an event-free interval.
-
-        The analytic fast-forward seam: the caller asserts nothing
-        observable happens in ``(now, to)``.  Refuses to run backwards
-        or to jump past a pending event (events exactly at ``to`` may
-        stay pending — they are the next thing dispatched).
-        """
-        if to < self._now:
-            raise SimulationError(
-                f"cannot advance clock to t={to}, already at t={self._now}"
-            )
-        pending = self.peek_next_time()
-        if pending is not None and pending < to:
-            raise SimulationError(
-                f"cannot advance clock to t={to}: event pending at t={pending}"
-            )
-        self._now = to
-        self._scheduler.advance(to)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def pending_count(self) -> int:
         """Number of pending (non-cancelled) events."""
-        return self._scheduler.pending_count()
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     @property
     def events_processed(self) -> int:

@@ -25,9 +25,8 @@ The pieces:
   — the same process-pool seam parameter sweeps use — then merge the
   keyed rows deterministically.
 
-Sharding composes with ``fidelity="fastforward"``; both knobs live on
-:class:`~repro.api.config.SimulationConfig` (``shards``/``fidelity``)
-and route through :func:`repro.api.builder.run_simulation`.
+The knob lives on :class:`~repro.api.config.SimulationConfig`
+(``shards``) and routes through :func:`repro.api.builder.run_simulation`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
-"""RL105 fixture: scheduling routed through the kernel seam."""
+"""RL105 fixture: scheduling routed through the event kernel."""
 
-from repro.sim.kernel import make_scheduler
+from repro.sim.kernel import Kernel
 
 
 def earliest(entries):
-    scheduler = make_scheduler("wheel")
-    for when, sequence, item in entries:
-        scheduler.push(when, sequence, item)
-    return scheduler.peek()
+    kernel = Kernel()
+    fired = []
+    for when, label in entries:
+        kernel.schedule_at(when, lambda k: fired.append(k.now()), label=label)
+    kernel.step()
+    return fired[0] if fired else None

@@ -1,4 +1,4 @@
-"""RL105 fixture: private heaps outside the kernel's scheduler seam."""
+"""RL105 fixture: private heaps outside the event kernel."""
 
 import heapq
 from heapq import heappush

@@ -1,4 +1,4 @@
-"""RL105 fixture: ``repro.sim`` itself may use heapq (the seam's home)."""
+"""RL105 fixture: ``repro.sim`` itself may use heapq (the kernel's home)."""
 
 import heapq
 from heapq import heappop

@@ -150,6 +150,11 @@ class TestRoundTrip:
         assert isinstance(config.workload, WorkloadConfig)
         assert config.policy.params["delta"] == 600.0
 
+    def test_exact_fidelity_round_trips_through_to_dict(self):
+        config = SimulationConfig(fidelity="exact")
+        assert config.to_dict()["fidelity"] == "exact"
+        assert SimulationConfig.from_dict(config.to_dict()) == config
+
 
 # ----------------------------------------------------------------------
 # Rejection
@@ -280,3 +285,13 @@ class TestRejection:
     def test_missing_required_sub_field(self):
         with pytest.raises(SimulationConfigError, match="mapping"):
             SimulationConfig.from_dict({"workload": "news"})
+
+    def test_fastforward_fidelity_rejected_as_removed(self):
+        with pytest.raises(SimulationConfigError, match="removed"):
+            SimulationConfig(fidelity="fastforward")
+        with pytest.raises(SimulationConfigError, match="removed"):
+            SimulationConfig.from_dict({"fidelity": "fastforward"})
+
+    def test_unknown_fidelity_mode_rejected(self):
+        with pytest.raises(SimulationConfigError, match="fidelity"):
+            SimulationConfig(fidelity="approximate")

@@ -95,7 +95,9 @@ class TestGroupsConfig:
             )
 
     def test_groups_require_exact_fidelity(self):
-        with pytest.raises(SimulationConfigError, match="exact"):
+        # "exact" is the only fidelity; the removed fast-forward mode is
+        # refused before groups are considered.
+        with pytest.raises(SimulationConfigError, match="removed"):
             SimulationConfig.from_dict(
                 {
                     "workload": _poisson_workload(),

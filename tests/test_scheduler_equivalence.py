@@ -1,17 +1,22 @@
-"""Differential tests: the timer wheel dispatches exactly like the heap.
+"""Differential tests: the kernel dispatches exactly like a reference model.
 
-The scheduler seam (:class:`repro.sim.kernel.Scheduler`) promises that
-the choice of implementation is unobservable: for any interleaving of
-schedule / cancel / run / advance operations, the wheel and the heap
-must fire the same events at the same times in the same sequence
-order — including same-tick ties and lazily cancelled entries.  These
-tests drive both kernels through identical randomized operation scripts
-(hypothesis) and compare the full dispatch transcripts.
+:class:`repro.sim.kernel.Kernel` keeps its events on a binary heap with
+lazy cancellation and pooled records.  The model below keeps them in a
+plain sorted list with eager bookkeeping, so it is slow but obviously
+right: for any interleaving of schedule / cancel / run / step
+operations, both must fire the same events at the same times in the
+same ``(time, sequence)`` order — including same-time FIFO ties,
+cancelled entries, events scheduled from callbacks and runs cut short
+by ``max_events`` — and agree on the clock, ``events_processed`` and
+``pending_count`` after every run.  Hypothesis generates the operation
+scripts.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+import bisect
+import math
+from typing import Any, Callable, List, Optional, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +30,7 @@ Transcript = List[Tuple[float, str]]
 
 # Quantized delays collide often (coincident timestamps exercise the
 # sequence tie-break); the float tail covers arbitrary spacings, and
-# the large values push entries into the wheel's overflow spill.
+# the large values put far-future entries on the queue.
 _DELAYS = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]),
     st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
@@ -38,34 +43,112 @@ _OPS = st.lists(
         st.tuples(st.just("chain"), _DELAYS, _DELAYS),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=999)),
         st.tuples(st.just("run"), _DELAYS),
-        st.tuples(st.just("run_batch"), _DELAYS),
+        st.tuples(st.just("run_max"), _DELAYS, st.integers(0, 4)),
         st.tuples(st.just("step"), st.just(0)),
-        st.tuples(st.just("advance"), _DELAYS),
     ),
     max_size=60,
 )
 
 
-def _execute(scheduler: str, ops: List[Tuple[object, ...]]) -> Transcript:
-    """Run one operation script on a fresh kernel; return its transcript."""
-    kernel = Kernel(scheduler=scheduler)
+class _ModelEvent:
+    """One model event: its ``(time, sequence)`` key, callback and state."""
+
+    __slots__ = ("key", "callback", "state")
+
+    def __init__(self, key: Tuple[float, int], callback: Callable[..., None]) -> None:
+        self.key = key
+        self.callback = callback
+        self.state = "pending"
+
+    def __lt__(self, other: "_ModelEvent") -> bool:
+        return self.key < other.key
+
+    def cancel_if_pending(self) -> None:
+        if self.state == "pending":
+            self.state = "cancelled"
+
+
+class _ReferenceKernel:
+    """The kernel's contract as a sorted list, re-scanned on every pop.
+
+    Mirrors the slice of the :class:`Kernel` API the scripts use, so
+    one :func:`_execute` runs both.
+    """
+
+    def __init__(self) -> None:
+        self._now = 0.0
+        self._queue: List[_ModelEvent] = []
+        self._sequence = 0
+        self.events_processed = 0
+
+    def now(self) -> float:
+        return self._now
+
+    def schedule_at(
+        self, when: float, callback: Callable[..., None], *, label: str = ""
+    ) -> _ModelEvent:
+        event = _ModelEvent((when, self._sequence), callback)
+        self._sequence += 1
+        bisect.insort(self._queue, event)
+        return event
+
+    @property
+    def pending_count(self) -> int:
+        return sum(1 for event in self._queue if event.state == "pending")
+
+    def step(self) -> bool:
+        return self._dispatch(math.inf, 1) == 1
+
+    def run(
+        self, *, until: Optional[float] = None, max_events: Optional[int] = None
+    ) -> None:
+        limit = math.inf if until is None else until
+        processed = self._dispatch(limit, max_events)
+        # A run cut short by max_events keeps the clock where it is.
+        if until is not None and processed != max_events and self._now < until:
+            self._now = until
+
+    def _dispatch(self, until: float, max_events: Optional[int]) -> int:
+        processed = 0
+        while processed != max_events:
+            head = next(
+                (event for event in self._queue if event.state == "pending"), None
+            )
+            if head is None or head.key[0] > until:
+                break
+            head.state = "fired"
+            self._now = head.key[0]
+            processed += 1
+            self.events_processed += 1
+            head.callback(self)
+        return processed
+
+
+def _execute(kernel: Any, ops: List[Tuple[object, ...]]) -> Transcript:
+    """Run one operation script on ``kernel``; return its transcript."""
     fired: Transcript = []
     handles = []
     labels = iter(range(10**6))
 
-    def recorder(label: str) -> Callable[[Kernel], None]:
+    def recorder(label: str) -> Callable[[Any], None]:
         return lambda k: fired.append((k.now(), label))
 
-    def chained(label: str, delay: float) -> Callable[[Kernel], None]:
+    def chained(label: str, delay: float) -> Callable[[Any], None]:
         # Schedule-during-callback: the follow-up competes for sequence
         # numbers with everything else scheduled mid-run.
-        def fire(k: Kernel) -> None:
+        def fire(k: Any) -> None:
             fired.append((k.now(), label))
-            k.schedule_at(
-                k.now() + delay, recorder(f"{label}+"), label=f"{label}+"
-            )
+            k.schedule_at(k.now() + delay, recorder(f"{label}+"), label=f"{label}+")
 
         return fire
+
+    def checkpoint() -> None:
+        # Fold the queue state into the transcript, so a divergence in
+        # pending bookkeeping or the clock fails the comparison even if
+        # dispatch order happens to agree.
+        fired.append((float(kernel.pending_count), "#pending"))
+        fired.append((kernel.now(), "#now"))
+        fired.append((float(kernel.events_processed), "#processed"))
 
     for op in ops:
         kind = op[0]
@@ -91,46 +174,31 @@ def _execute(scheduler: str, ops: List[Tuple[object, ...]]) -> Transcript:
         else:
             if kind == "run":
                 kernel.run(until=kernel.now() + float(op[1]))
-            elif kind == "run_batch":
-                kernel.run_batch(kernel.now() + float(op[1]))
-            elif kind == "step":
+            elif kind == "run_max":
+                kernel.run(until=kernel.now() + float(op[1]), max_events=int(op[2]))
+            else:
                 kernel.step()
-            else:  # advance: clamp to the next pending event, as the
-                # fast-forward engine's analytic jumps do.
-                target = kernel.now() + float(op[1])
-                pending = kernel.peek_next_time()
-                if pending is not None and pending < target:
-                    target = pending
-                kernel.advance_clock(target)
-            # Checkpoint the queue state into the transcript, so a
-            # wheel/heap divergence in pending bookkeeping or the next
-            # visible head fails the comparison even if dispatch order
-            # happens to agree.
-            fired.append((float(kernel.pending_count), "#pending"))
-            head = kernel.peek_next_time()
-            fired.append((-1.0 if head is None else head, "#head"))
+            checkpoint()
     kernel.run()
+    checkpoint()
     return fired
 
 
 class TestSchedulerEquivalence:
     @given(_OPS)
     @settings(max_examples=200, deadline=None)
-    def test_wheel_matches_heap_transcript(self, ops):
-        assert _execute("wheel", ops) == _execute("heap", ops)
+    def test_kernel_matches_reference_transcript(self, ops):
+        assert _execute(Kernel(), ops) == _execute(_ReferenceKernel(), ops)
 
     @given(
-        st.lists(
-            st.sampled_from([0.0, 1.0, 1.0, 3.0]), min_size=1, max_size=30
-        ),
+        st.lists(st.sampled_from([0.0, 1.0, 1.0, 3.0]), min_size=1, max_size=30),
         st.sets(st.integers(min_value=0, max_value=29)),
     )
     @settings(max_examples=100)
     def test_coincident_timestamps_fire_in_arm_order(self, delays, cancels):
         """Heavily colliding schedules + cancels keep FIFO tie order."""
         transcripts = []
-        for scheduler in ("wheel", "heap"):
-            kernel = Kernel(scheduler=scheduler)
+        for kernel in (Kernel(), _ReferenceKernel()):
             fired: Transcript = []
             handles = [
                 kernel.schedule_at(
@@ -156,14 +224,11 @@ class TestSchedulerEquivalence:
             assert indices == sorted(indices)
 
     def test_events_processed_and_clock_agree(self):
-        kernels = {
-            kind: Kernel(scheduler=kind) for kind in ("wheel", "heap")
-        }
-        for kernel in kernels.values():
+        kernel, model = Kernel(), _ReferenceKernel()
+        for queue in (kernel, model):
             for index in range(100):
-                kernel.schedule_at(float(index % 7), lambda k: None)
-            kernel.run(until=3.0)
-        wheel, heap = kernels["wheel"], kernels["heap"]
-        assert wheel.events_processed == heap.events_processed
-        assert wheel.now() == heap.now()
-        assert wheel.pending_count == heap.pending_count
+                queue.schedule_at(float(index % 7), lambda k: None)
+            queue.run(until=3.0)
+        assert kernel.events_processed == model.events_processed
+        assert kernel.now() == model.now()
+        assert kernel.pending_count == model.pending_count

@@ -2,8 +2,7 @@
 
 The load-bearing property: a sharded run's merged result table is
 byte-identical to the serial unsharded run — for any shard count the
-tree admits, serial or process-pool execution, exact or fast-forward
-fidelity.  Plus unit coverage of the partition planner's boundary
+tree admits, serial or process-pool execution.  Plus unit coverage of the partition planner's boundary
 selection, range balancing, and ownership bookkeeping.
 """
 
@@ -74,7 +73,7 @@ class TestPlanShards:
                 assert parent in selection.registers
 
 
-def _config(*, shards=1, fidelity="exact", log_events=False):
+def _config(*, shards=1, log_events=False):
     return (
         SimulationBuilder()
         .workload("poisson", "a", "b", "c", rate_per_hour=5.0, hours=1.0)
@@ -90,7 +89,6 @@ def _config(*, shards=1, fidelity="exact", log_events=False):
         .seed(23)
         .fidelity_delta(300.0)
         .horizon(3600.0)
-        .fidelity(fidelity)
         .shards(shards)
         .log_events(log_events)
         .build()
@@ -109,12 +107,6 @@ class TestMergeDeterminism:
 
     def test_sharded_rows_equal_serial_with_process_pool(self, reference_csv):
         outcome = run_simulation(_config(shards=3), workers=2)
-        assert outcome.results.to_csv() == reference_csv
-
-    def test_fastforward_composes_with_sharding(self, reference_csv):
-        outcome = run_simulation(
-            _config(shards=2, fidelity="fastforward"), workers=2
-        )
         assert outcome.results.to_csv() == reference_csv
 
     def test_outcome_exposes_live_shard0_tree(self):

@@ -186,109 +186,63 @@ class TestIntrospection:
         assert fired == [1]
 
 
-class TestBatchDispatchSeam:
-    """run_batch / peek_next_time / advance_clock — the fast-forward seam."""
+class TestNonFiniteTimes:
+    """NaN and infinite times are refused before they reach the heap."""
 
-    def test_run_batch_dispatches_events_up_to_until(self, kernel):
+    @pytest.mark.parametrize("when", [float("nan"), float("inf")])
+    def test_schedule_at_rejects_non_finite(self, kernel, when):
+        with pytest.raises(SimulationError, match="finite"):
+            kernel.schedule_at(when, lambda k: None)
+        assert kernel.pending_count == 0
+
+    @pytest.mark.parametrize("when", [float("nan"), float("inf")])
+    def test_schedule_raw_rejects_non_finite(self, kernel, when):
+        with pytest.raises(SimulationError, match="finite"):
+            kernel.schedule_raw(when, lambda k: None)
+        assert kernel.pending_count == 0
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_schedule_after_rejects_non_finite(self, kernel, delay):
+        with pytest.raises(SimulationError, match="finite"):
+            kernel.schedule_after(delay, lambda k: None)
+
+    def test_negative_infinity_is_in_the_past(self, kernel):
+        with pytest.raises(SchedulingInPastError):
+            kernel.schedule_at(float("-inf"), lambda k: None)
+
+    def test_rejected_nan_does_not_disturb_dispatch(self, kernel):
         fired = []
-        for t in (1.0, 2.0, 3.0, 7.0):
-            kernel.schedule_at(t, lambda k: fired.append(k.now()))
-        assert kernel.run_batch(3.0) == 3
-        assert fired == [1.0, 2.0, 3.0]
+        kernel.schedule_at(1.0, lambda k: fired.append(k.now()))
+        kernel.schedule_at(5.0, lambda k: fired.append(k.now()))
+        with pytest.raises(SimulationError):
+            kernel.schedule_at(float("nan"), lambda k: fired.append(k.now()))
+        kernel.run()
+        assert fired == [1.0, 5.0]
+        assert kernel.now() == 5.0
+
+    def test_run_until_nan_rejected(self, kernel):
+        fired = []
+        kernel.schedule_at(1.0, lambda k: fired.append(k.now()))
+        with pytest.raises(SimulationError, match="nan"):
+            kernel.run(until=float("nan"))
+        assert fired == []
         assert kernel.pending_count == 1
-
-    def test_run_batch_leaves_clock_at_last_event(self, kernel):
-        kernel.schedule_at(2.0, lambda k: None)
-        kernel.run_batch(5.0)
-        # Unlike run(until=5.0), the clock is NOT finalized to until.
-        assert kernel.now() == 2.0
-
-    def test_run_batch_on_empty_window_is_a_no_op(self, kernel):
-        kernel.schedule_at(9.0, lambda k: None)
-        assert kernel.run_batch(5.0) == 0
         assert kernel.now() == 0.0
 
-    def test_run_batch_includes_events_scheduled_during_batch(self, kernel):
+    @pytest.mark.parametrize("start", [float("nan"), float("inf")])
+    def test_non_finite_start_time_rejected(self, start):
+        with pytest.raises(ValueError):
+            Kernel(start_time=start)
+
+
+class TestMaxEventsWithUntil:
+    def test_cut_short_run_leaves_clock_at_last_event(self, kernel):
         fired = []
-
-        def chain(k):
-            fired.append(k.now())
-            if k.now() < 3.0:
-                k.schedule_after(1.0, chain)
-
-        kernel.schedule_at(1.0, chain)
-        assert kernel.run_batch(3.0) == 3
-        assert fired == [1.0, 2.0, 3.0]
-
-    def test_run_batch_respects_max_events(self, kernel):
-        for t in (1.0, 2.0, 3.0):
-            kernel.schedule_at(t, lambda k: None)
-        assert kernel.run_batch(10.0, max_events=2) == 2
-        assert kernel.pending_count == 1
-
-    def test_run_batch_counts_into_events_processed(self, kernel):
-        kernel.schedule_at(1.0, lambda k: None)
-        kernel.run_batch(1.0)
-        assert kernel.events_processed == 1
-
-    def test_peek_next_time_returns_earliest_pending(self, kernel):
-        kernel.schedule_at(4.0, lambda k: None)
-        kernel.schedule_at(2.0, lambda k: None)
-        assert kernel.peek_next_time() == 2.0
-
-    def test_peek_next_time_skips_cancelled_heads(self, kernel):
-        handle = kernel.schedule_at(1.0, lambda k: None)
-        kernel.schedule_at(6.0, lambda k: None)
-        handle.cancel()
-        assert kernel.peek_next_time() == 6.0
-
-    def test_peek_next_time_empty_queue_is_none(self, kernel):
-        assert kernel.peek_next_time() is None
-
-    def test_advance_clock_moves_through_empty_interval(self, kernel):
-        kernel.advance_clock(42.0)
-        assert kernel.now() == 42.0
-
-    def test_advance_clock_refuses_backwards(self, kernel):
-        kernel.advance_clock(10.0)
-        with pytest.raises(SimulationError):
-            kernel.advance_clock(5.0)
-
-    def test_advance_clock_refuses_to_jump_past_pending_event(self, kernel):
-        kernel.schedule_at(3.0, lambda k: None)
-        with pytest.raises(SimulationError):
-            kernel.advance_clock(4.0)
-
-    def test_advance_clock_allows_landing_exactly_on_pending_event(
-        self, kernel
-    ):
-        fired = []
-        kernel.schedule_at(3.0, lambda k: fired.append(k.now()))
-        kernel.advance_clock(3.0)
-        assert kernel.now() == 3.0
-        kernel.run_batch(3.0)
-        assert fired == [3.0]
-
-    def test_interleaved_batches_match_plain_run(self):
-        def build():
-            k = Kernel()
-            fired = []
-            for t in (1.0, 2.5, 2.5, 4.0):
-                k.schedule_at(t, lambda kk: fired.append(kk.now()))
-            return k, fired
-
-        plain, plain_fired = build()
-        plain.run(until=5.0)
-
-        seamed, seam_fired = build()
-        while True:
-            nxt = seamed.peek_next_time()
-            if nxt is None or nxt > 5.0:
-                break
-            seamed.advance_clock(nxt)
-            seamed.run_batch(nxt)
-        seamed.advance_clock(5.0)
-
-        assert seam_fired == plain_fired
-        assert seamed.now() == plain.now() == 5.0
-        assert seamed.events_processed == plain.events_processed
+        for t in (1.0, 5.0):
+            kernel.schedule_at(t, lambda k: fired.append(k.now()))
+        assert kernel.run(until=10.0, max_events=1) == 1
+        assert kernel.now() == 1.0
+        kernel.run(until=10.0)
+        # The clock never runs backwards past a still-pending event.
+        assert fired == [1.0, 5.0]
+        assert kernel.now() == 10.0
