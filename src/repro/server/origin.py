@@ -104,16 +104,12 @@ class OriginServer:
         self, object_id: ObjectId, time: Seconds, value: Optional[float] = None
     ) -> None:
         """Apply one update to an object (called by the update feeder)."""
-        obj = self.get_object(object_id)
-        record = obj.apply_update(time, value)
+        version = self.get_object(object_id).apply_update(time, value)
         self.counters.increment("updates_applied")
         if self._event_log is not None:
             self._event_log.record(
                 UpdateAppliedEvent(
-                    time=time,
-                    object_id=object_id,
-                    version=record.version,
-                    value=record.value,
+                    time=time, object_id=object_id, version=version, value=value
                 )
             )
         if self._update_listeners:

@@ -1,15 +1,16 @@
 """Feeding trace updates into an origin server.
 
-An :class:`UpdateFeeder` schedules one kernel event per trace record and
-applies it to the server at the right instant, turning a static
-:class:`UpdateTrace` into a live, time-driven object at the origin.
+An :class:`UpdateFeeder` hands a trace's update instants to the kernel
+as one series and applies each to the server at the right instant,
+turning a static :class:`UpdateTrace` into a live, time-driven object at
+the origin.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Iterable
 
-from repro.core.types import ObjectId, Seconds
+from repro.core.types import ObjectId
 from repro.server.origin import OriginServer
 from repro.sim.kernel import Kernel
 from repro.traces.model import UpdateTrace
@@ -26,6 +27,10 @@ class UpdateFeeder:
     For valued traces, the object's initial value is the first record's
     value (the proxy's first fetch then observes a sensible price rather
     than ``None``).
+
+    The feeder holds one kernel heap entry at a time, however long the
+    trace.  Subclasses may route updates elsewhere by replacing
+    ``_apply`` before the kernel runs.
     """
 
     def __init__(
@@ -36,21 +41,24 @@ class UpdateFeeder:
         *,
         create_object: bool = True,
     ) -> None:
-        self._kernel = kernel
-        self._server = server
         self._trace = trace
-        self._scheduled = 0
+        object_id = self._object_id = trace.object_id
         self._applied = 0
-        if create_object and not server.has_object(trace.object_id):
-            initial_value = (
-                trace.records[0].value if trace.update_count > 0 else None
-            )
+        records = trace.records
+        if create_object and not server.has_object(object_id):
             server.create_object(
-                trace.object_id,
+                object_id,
                 created_at=trace.start_time,
-                initial_value=initial_value,
+                initial_value=records[0].value if records else None,
             )
-        self._schedule_all()
+        # The creation record may coincide with the window start; skip
+        # anything not strictly in the future of creation.
+        if records and records[0].time <= trace.start_time:
+            records = records[1:]
+        self._times = tuple(record.time for record in records)
+        self._values = tuple(record.value for record in records)
+        self._apply = server.apply_update
+        kernel.schedule_series(self._times, self._fire, label=f"update.{object_id}")
 
     @property
     def trace(self) -> UpdateTrace:
@@ -58,38 +66,15 @@ class UpdateFeeder:
 
     @property
     def scheduled_count(self) -> int:
-        return self._scheduled
+        return len(self._times)
 
     @property
     def applied_count(self) -> int:
         return self._applied
 
-    def _schedule_all(self) -> None:
-        label = f"update.{self._trace.object_id}"
-        schedule_at = self._kernel.schedule_at
-        start_time = self._trace.start_time
-        for record in self._trace.records:
-            if record.time <= start_time:
-                # The creation record coincides with the window start;
-                # skip anything not strictly in the future of creation.
-                continue
-            schedule_at(
-                record.time,
-                self._make_apply(record.time, record.value),
-                label=label,
-            )
-            self._scheduled += 1
-
-    def _make_apply(
-        self, time: Seconds, value: Optional[float]
-    ) -> Callable[[Kernel], None]:
-        object_id = self._trace.object_id
-
-        def apply(_kernel: Kernel) -> None:
-            self._server.apply_update(object_id, time, value)
-            self._applied += 1
-
-        return apply
+    def _fire(self, _kernel: Kernel, index: int) -> None:
+        self._apply(self._object_id, self._times[index], self._values[index])
+        self._applied += 1
 
 
 def feed_traces(

@@ -25,6 +25,9 @@ times):
   its ``generation``, so a stale handle can tell a recycled event from
   its own.
 * :meth:`Kernel._drain` binds hot attributes to locals and pops inline.
+* :meth:`Kernel.schedule_series` reserves a block of sequence numbers
+  and keeps one heap entry per series, re-pushing its record with the
+  next reserved key as each element fires (trace updates).
 
 Event times must be finite and not in the past; anything else (NaN,
 infinity, an earlier time) raises ``SimulationError`` at scheduling
@@ -41,7 +44,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, List, Optional, Tuple
+import operator
+from itertools import islice
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import SchedulingInPastError, SimulationError
 from repro.core.types import Seconds
@@ -184,6 +189,7 @@ class Kernel:
         "_running",
         "_events_processed",
         "_free",
+        "_backlog",
     )
 
     def __init__(self, start_time: Seconds = 0.0) -> None:
@@ -195,6 +201,8 @@ class Kernel:
         self._sequence = 0
         self._running = False
         self._events_processed = 0
+        # Series elements not yet on the heap (see schedule_series).
+        self._backlog = 0
 
     # ------------------------------------------------------------------
     # Clock protocol
@@ -282,6 +290,65 @@ class Kernel:
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self._now + delay, callback, label=label)
+
+    def schedule_series(
+        self,
+        times: Sequence[Seconds],
+        callback: Callable[["Kernel", int], None],
+        *,
+        label: str = "",
+    ) -> None:
+        """Dispatch ``callback(kernel, i)`` at each strictly ascending ``times[i]``.
+
+        Dispatch is exactly that of calling :meth:`schedule_at` once per
+        element now: the series takes a block of ``len(times)`` sequence
+        numbers, so every element keeps its ``(time, sequence)`` key.
+        Only the next element sits on the heap; firing element *i*
+        pushes element *i + 1* on the recycled record.  Elements cannot
+        be cancelled.
+
+        Raises:
+            SchedulingInPastError: if ``times[0]`` precedes the current time.
+            SimulationError: if a time is NaN or infinite, or not after
+                its predecessor.  Either error leaves the kernel untouched.
+        """
+        times = tuple(times)
+        if not times:
+            return
+        now = self._now
+        if not (
+            now <= times[0]
+            and times[-1] < _INF
+            and all(map(operator.lt, times, islice(times, 1, None)))
+        ):
+            for index, when in enumerate(times):
+                if not now <= when < _INF:
+                    raise _bad_time(now, when)
+                if index and not times[index - 1] < when:
+                    raise SimulationError(
+                        f"series time t={when} is not after t={times[index - 1]}"
+                    )
+        first, last = self._sequence, len(times) - 1
+        heap, free, cursor = self._heap, self._free, 0
+
+        def fire(kernel: Kernel) -> None:
+            nonlocal cursor
+            current = cursor
+            if current < last:
+                # _drain freed this record just before calling back, and
+                # no handle ever sees it: re-arm it as is for the next
+                # element before the callback runs, so the rest of the
+                # series stays pending even if the callback raises.
+                cursor = current + 1
+                event = free.pop()
+                event.time = when = times[cursor]
+                self._backlog -= 1
+                _heappush(heap, (when, first + cursor, event))
+            callback(kernel, current)
+
+        self._sequence += len(times)
+        self._backlog += last
+        _heappush(heap, (times[0], first, _Event(times[0], fire, label)))
 
     # ------------------------------------------------------------------
     # Execution
@@ -380,7 +447,8 @@ class Kernel:
     @property
     def pending_count(self) -> int:
         """Number of pending (non-cancelled) events."""
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
+        on_heap = sum(1 for entry in self._heap if not entry[2].cancelled)
+        return on_heap + self._backlog
 
     @property
     def events_processed(self) -> int:

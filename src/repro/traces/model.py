@@ -10,6 +10,7 @@ whose records optionally carry values.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence
 
@@ -69,8 +70,14 @@ class UpdateTrace:
     def _validate(self) -> None:
         prev_time: Optional[Seconds] = None
         prev_version: Optional[int] = None
+        # Ascending times are finite if the ends are (NaN fails below).
+        for record in self._records[:1] + self._records[-1:]:
+            if not math.isfinite(record.time):
+                raise TraceFormatError(f"update time {record.time} is not finite")
         for index, record in enumerate(self._records):
-            if prev_time is not None and record.time <= prev_time:
+            if prev_time is not None and not record.time > prev_time:
+                if math.isnan(record.time):
+                    raise TraceFormatError(f"update time {record.time} is not finite")
                 raise TraceOrderingError(index, prev_time, record.time)
             if prev_version is not None and record.version != prev_version + 1:
                 raise TraceFormatError(

@@ -162,6 +162,23 @@ class TestAttachPushChannel:
         server.apply_update(X, 4.0)
         assert seen == [4.0]
 
+    @pytest.mark.parametrize("attached", [False, True])
+    def test_push_feeder_notifies_once_per_update(self, attached):
+        kernel, server, proxy, channel, _ = build_push_stack()
+        if attached:
+            attach_push_channel(channel)
+        seen = []
+        channel.subscribe(X, lambda oid, t: seen.append(t))
+        feeder = PushUpdateFeeder(
+            kernel, channel, trace_from_times(X, [0.0, 3.0, 8.0], end_time=10.0)
+        )
+        kernel.run(until=10.0)
+        # The t=0 record is the object's creation, not an update.
+        assert seen == [3.0, 8.0]
+        assert channel.counters.get("notifications") == 2
+        assert feeder.applied_count == 2
+        assert server.get_object(X).current_version == 2
+
     def test_apply_update_never_double_notifies_when_attached(self):
         kernel, server, proxy, channel, _ = build_push_stack()
         server.create_object(X, created_at=0.0)

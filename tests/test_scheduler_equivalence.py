@@ -3,13 +3,15 @@
 :class:`repro.sim.kernel.Kernel` keeps its events on a binary heap with
 lazy cancellation and pooled records.  The model below keeps them in a
 plain sorted list with eager bookkeeping, so it is slow but obviously
-right: for any interleaving of schedule / cancel / run / step
+right: for any interleaving of schedule / series / cancel / run / step
 operations, both must fire the same events at the same times in the
 same ``(time, sequence)`` order — including same-time FIFO ties,
 cancelled entries, events scheduled from callbacks and runs cut short
 by ``max_events`` — and agree on the clock, ``events_processed`` and
-``pending_count`` after every run.  Hypothesis generates the operation
-scripts.
+``pending_count`` after every run.  The model expands a series into one
+eager event per element with consecutive sequence numbers, which the
+kernel's one-entry-per-series dispatch must be indistinguishable from.
+Hypothesis generates the operation scripts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import bisect
 import math
 from typing import Any, Callable, List, Optional, Tuple
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.kernel import Kernel
@@ -41,6 +43,11 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), _DELAYS),
         st.tuples(st.just("chain"), _DELAYS, _DELAYS),
+        st.tuples(
+            st.just("series"),
+            st.lists(_DELAYS, max_size=6),
+            st.one_of(st.none(), _DELAYS),
+        ),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=999)),
         st.tuples(st.just("run"), _DELAYS),
         st.tuples(st.just("run_max"), _DELAYS, st.integers(0, 4)),
@@ -92,6 +99,12 @@ class _ReferenceKernel:
         bisect.insort(self._queue, event)
         return event
 
+    def schedule_series(
+        self, times: List[float], callback: Callable[..., None], *, label: str = ""
+    ) -> None:
+        for index, when in enumerate(times):
+            self.schedule_at(when, lambda k, i=index: callback(k, i), label=label)
+
     @property
     def pending_count(self) -> int:
         return sum(1 for event in self._queue if event.state == "pending")
@@ -142,6 +155,17 @@ def _execute(kernel: Any, ops: List[Tuple[object, ...]]) -> Transcript:
 
         return fire
 
+    def series_element(label: str, delay: Optional[float]) -> Callable[..., None]:
+        # Element callbacks may schedule follow-ups that tie with the
+        # series' own later elements.
+        def fire(k: Any, index: int) -> None:
+            fired.append((k.now(), f"{label}.{index}"))
+            if delay is not None:
+                follow = f"{label}.{index}+"
+                k.schedule_at(k.now() + delay, recorder(follow), label=follow)
+
+        return fire
+
     def checkpoint() -> None:
         # Fold the queue state into the transcript, so a divergence in
         # pending bookkeeping or the clock fails the comparison even if
@@ -168,6 +192,10 @@ def _execute(kernel: Any, ops: List[Tuple[object, ...]]) -> Transcript:
                     label=label,
                 )
             )
+        elif kind == "series":
+            label = f"s{next(labels)}"
+            times = sorted({kernel.now() + float(delay) for delay in op[1]})
+            kernel.schedule_series(times, series_element(label, op[2]), label=label)
         elif kind == "cancel":
             if handles:
                 handles[int(op[1]) % len(handles)].cancel_if_pending()
@@ -186,6 +214,19 @@ def _execute(kernel: Any, ops: List[Tuple[object, ...]]) -> Transcript:
 
 class TestSchedulerEquivalence:
     @given(_OPS)
+    @example(
+        # Series elements tie with an event scheduled before the series
+        # (t=1), one scheduled after it (t=2.5) and a follow-up from its
+        # own element 1 (t=1 + 1.5); a cut-short run splits the series.
+        [
+            ("schedule", 1.0),
+            ("series", [0.0, 1.0, 2.5, 7.0], 1.5),
+            ("schedule", 2.5),
+            ("run_max", 7.0, 2),
+            ("schedule", 1.5),
+            ("step", 0),
+        ]
+    )
     @settings(max_examples=200, deadline=None)
     def test_kernel_matches_reference_transcript(self, ops):
         assert _execute(Kernel(), ops) == _execute(_ReferenceKernel(), ops)

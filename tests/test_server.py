@@ -37,6 +37,35 @@ class TestServerObject:
         with pytest.raises(ValueError):
             obj.apply_update(4.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_update_value_rejected(self, value):
+        obj = ServerObject(ObjectId("x"), initial_value=10.0)
+        with pytest.raises(ValueError, match="finite"):
+            obj.apply_update(1.0, value=value)
+        # A refused update leaves no trace in the history.
+        assert obj.current_version == 0
+        assert obj.apply_update(1.0, value=11.0) == 1
+        assert obj.modifications_between(0.0, 1.0)[0].value == 11.0
+
+    def test_nan_update_time_rejected(self):
+        obj = ServerObject(ObjectId("x"))
+        with pytest.raises(ValueError):
+            obj.apply_update(float("nan"))
+        assert obj.update_count == 0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"created_at": -1.0},
+            {"created_at": float("nan")},
+            {"initial_value": float("nan")},
+            {"initial_value": float("inf")},
+        ],
+    )
+    def test_invalid_creation_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ServerObject(ObjectId("x"), **kwargs)
+
     def test_value_updates(self):
         obj = ServerObject(ObjectId("x"), initial_value=10.0)
         obj.apply_update(1.0, value=11.0)
@@ -210,6 +239,24 @@ class TestUpdateFeeder:
         assert set(feeders) == {ObjectId("a"), ObjectId("b")}
         assert server.has_object(ObjectId("a"))
         assert server.has_object(ObjectId("b"))
+
+    def test_updates_tie_with_other_events_in_scheduling_order(self):
+        kernel = Kernel()
+        server = OriginServer()
+        seen = []
+
+        def observe(tag):
+            def fire(_kernel):
+                version = server.get_object(ObjectId("x")).current_version
+                seen.append((tag, version))
+
+            return fire
+
+        kernel.schedule_at(20.0, observe("before"))
+        UpdateFeeder(kernel, server, trace_from_times(ObjectId("x"), [10.0, 20.0]))
+        kernel.schedule_at(20.0, observe("after"))
+        kernel.run()
+        assert seen == [("before", 1), ("after", 2)]
 
     def test_existing_object_not_recreated(self):
         kernel = Kernel()

@@ -246,3 +246,79 @@ class TestMaxEventsWithUntil:
         # The clock never runs backwards past a still-pending event.
         assert fired == [1.0, 5.0]
         assert kernel.now() == 10.0
+
+
+class TestScheduleSeries:
+    """One heap entry dispatching a strictly ascending run of times."""
+
+    def test_dispatches_each_index_at_its_time(self, kernel):
+        fired = []
+        kernel.schedule_series([1.0, 2.5, 4.0], lambda k, i: fired.append((k.now(), i)))
+        assert kernel.pending_count == 3
+        assert kernel.run() == 3
+        assert fired == [(1.0, 0), (2.5, 1), (4.0, 2)]
+        assert kernel.events_processed == 3
+
+    def test_pending_count_counts_every_undispatched_element(self, kernel):
+        kernel.schedule_series([1.0, 2.0, 3.0, 4.0], lambda k, i: None)
+        kernel.schedule_at(2.0, lambda k: None)
+        assert kernel.pending_count == 5
+        kernel.run(until=2.0)
+        assert kernel.pending_count == 2
+        kernel.run()
+        assert kernel.pending_count == 0
+
+    def test_ties_keep_the_reserved_sequence_block(self, kernel):
+        fired = []
+        kernel.schedule_at(2.0, lambda k: fired.append("before"))
+        kernel.schedule_series([1.0, 2.0], lambda k, i: fired.append(f"s{i}"))
+        kernel.schedule_at(2.0, lambda k: fired.append("after"))
+        kernel.run()
+        assert fired == ["s0", "before", "s1", "after"]
+
+    def test_raising_callback_leaves_the_rest_pending(self, kernel):
+        def callback(k, i):
+            if i == 0:
+                raise RuntimeError("boom")
+
+        kernel.schedule_series([1.0, 2.0, 3.0], callback)
+        with pytest.raises(RuntimeError):
+            kernel.run()
+        assert kernel.pending_count == 2
+        assert kernel.run() == 2
+
+    def test_empty_series_is_a_no_op(self, kernel):
+        sequence = kernel._sequence
+        kernel.schedule_series([], lambda k, i: None)
+        assert kernel.pending_count == 0
+        assert kernel._sequence == sequence
+        assert kernel.run() == 0
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            [1.0, 3.0, 2.0],
+            [1.0, 1.0],
+            [1.0, float("nan"), 3.0],
+            [float("nan")],
+            [1.0, float("inf")],
+            [float("inf")],
+        ],
+    )
+    def test_bad_times_raise_at_call_time(self, kernel, times):
+        kernel.schedule_at(5.0, lambda k: None)
+        sequence = kernel._sequence
+        with pytest.raises(SimulationError) as caught:
+            kernel.schedule_series(times, lambda k, i: None)
+        assert not isinstance(caught.value, SchedulingInPastError)
+        assert kernel._sequence == sequence
+        assert kernel.pending_count == 1
+
+    def test_first_time_in_the_past_rejected(self, kernel):
+        kernel.schedule_at(5.0, lambda k: None)
+        kernel.run()
+        sequence = kernel._sequence
+        with pytest.raises(SchedulingInPastError):
+            kernel.schedule_series([4.0, 6.0], lambda k, i: None)
+        assert kernel._sequence == sequence
+        assert kernel.pending_count == 0

@@ -33,6 +33,23 @@ class TestConstruction:
         with pytest.raises(TraceOrderingError):
             UpdateTrace(ObjectId("x"), records)
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            [1.0, float("nan"), 3.0],
+            [float("nan"), 2.0, 3.0],
+            [1.0, 2.0, float("nan")],
+            [float("nan")],
+            [1.0, float("inf")],
+            [float("inf")],
+            [1.0, float("inf"), 3.0],
+        ],
+    )
+    def test_non_finite_times_rejected(self, times):
+        records = [UpdateRecord(t, i) for i, t in enumerate(times)]
+        with pytest.raises(TraceFormatError):
+            UpdateTrace(ObjectId("x"), records)
+
     def test_version_gap_rejected(self):
         records = [UpdateRecord(1.0, 0), UpdateRecord(2.0, 2)]
         with pytest.raises(TraceFormatError, match="version"):
