@@ -1,12 +1,10 @@
 """Scale tier — a million simulated clients through a CDN edge tree.
 
-The scale benchmark wires the two million-client mechanisms together:
-
-* sharded tree execution (``shards``/``workers``), which partitions
-  the edge tree at a subtree boundary across worker processes;
-* a self-rescheduling :class:`ClientPump` per edge proxy, which keeps
-  the event heap O(edges) no matter how many client arrivals the run
-  drives (a pre-scheduled million-event heap would dominate memory).
+A self-rescheduling :class:`ClientPump` per edge proxy keeps the event
+heap O(edges) no matter how many client arrivals the run drives (a
+pre-scheduled million-event heap would dominate memory); the pumps
+attach through :func:`~repro.api.builder.run_simulation`'s
+``instrument`` hook.
 
 Topology: a ``cdn_tree`` of levels (1, 8, 16) — one shield proxy, 8
 regional proxies, 128 edges — serving 8 Poisson-updated objects under
@@ -18,8 +16,8 @@ misses trigger real upstream fetch chains.
 
 ``pytest benchmarks/scale`` records the million-client run as a
 trajectory point (it is deliberately *not* in the ``--smoke`` subset);
-``python benchmarks/scale/bench_scale.py --clients 10000 --verify``
-is the CI smoke, asserting sharded rows equal the serial run's.
+``python benchmarks/scale/bench_scale.py --clients 10000`` is the CI
+smoke.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import time
 from bisect import bisect_left
 from functools import partial
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.api.builder import SimulationOutcome, run_simulation
 from repro.api.config import LevelConfig, SimulationConfig
@@ -108,34 +106,28 @@ class ClientPump:
 def _attach_client_pumps(
     tree: TopologyTree, *, clients: int, horizon: float, seed: int
 ) -> None:
-    """Start one pump per registered edge node (the instrument hook).
+    """Start one pump per edge node (the instrument hook).
 
-    Module-level so sharded runs can pickle it to worker processes.
-    Each pump's RNG derives from the node's (level, index), so a node
-    sees the identical arrival stream whether it runs in the serial
-    tree or inside a shard — and nodes outside a shard's cone (no
-    registered objects) simply get no pump.
+    Each pump's RNG derives from the node's (level, index), so every
+    node sees its own reproducible arrival stream.
     """
     edges = tree.edge_nodes
     rate_per_s = clients / len(edges) / horizon
     for node in edges:
-        objects = node.proxy.registered_objects()
-        if not objects:
-            continue
         rng = random.Random(
             derive_seed(seed, f"clients[{node.level}][{node.index}]")
         )
         ClientPump(
             tree.kernel,
             node.proxy,
-            objects,
+            node.proxy.registered_objects(),
             rng,
             rate_per_s=rate_per_s,
             horizon=horizon,
         ).start()
 
 
-def _scale_config(*, shards: int = 1) -> SimulationConfig:
+def _scale_config() -> SimulationConfig:
     from repro.api.builder import SimulationBuilder
 
     return (
@@ -148,17 +140,11 @@ def _scale_config(*, shards: int = 1) -> SimulationConfig:
         )
         .seed(SEED)
         .horizon(HORIZON_S)
-        .shards(shards)
         .build()
     )
 
 
-def run_scale(
-    clients: int,
-    *,
-    shards: int = 1,
-    workers: Optional[int] = None,
-) -> SimulationOutcome:
+def run_scale(clients: int) -> SimulationOutcome:
     """Drive ``clients`` expected arrivals through the cdn_tree."""
     instrument = partial(
         _attach_client_pumps,
@@ -166,19 +152,11 @@ def run_scale(
         horizon=HORIZON_S,
         seed=SEED,
     )
-    return run_simulation(
-        _scale_config(shards=shards),
-        workers=workers,
-        instrument=instrument,
-    )
+    return run_simulation(_scale_config(), instrument=instrument)
 
 
 def clients_served(outcome: SimulationOutcome) -> int:
-    """Total client requests the edge proxies answered.
-
-    Meaningful for unsharded outcomes only: a sharded outcome's live
-    proxies cover shard 0's partition, the rest exist as rows.
-    """
+    """Total client requests the edge proxies answered."""
     return sum(
         proxy.counters.get("client_hits")
         + proxy.counters.get("client_misses")
@@ -195,47 +173,15 @@ def test_scale_million_clients(run_once):
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--clients", type=int, default=10_000)
-    parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument(
-        "--verify",
-        action="store_true",
-        help=(
-            "also run the serial unsharded reference and fail unless "
-            "result rows are byte-identical"
-        ),
-    )
     args = parser.parse_args(argv)
 
     started = time.perf_counter()
-    outcome = run_scale(
-        args.clients,
-        shards=args.shards,
-        workers=args.workers,
-    )
+    outcome = run_scale(args.clients)
     elapsed = time.perf_counter() - started
-    label = f"shards={args.shards}"
-    if args.shards == 1:
-        print(
-            f"scale run ({label}): {clients_served(outcome):,} clients "
-            f"served in {elapsed:.2f}s"
-        )
-    else:
-        print(f"scale run ({label}): completed in {elapsed:.2f}s")
-
-    if args.verify:
-        reference = run_scale(args.clients)
-        if outcome.results.to_csv() != reference.results.to_csv():
-            print(
-                "error: result rows diverge from the serial unsharded "
-                "reference",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"verify: rows byte-identical to serial unsharded reference "
-            f"({len(reference.results)} rows)"
-        )
+    print(
+        f"scale run: {clients_served(outcome):,} clients served in "
+        f"{elapsed:.2f}s ({len(outcome.results)} result rows)"
+    )
     return 0
 
 

@@ -17,9 +17,11 @@
 :func:`run_simulation` is the one execution path behind the builder,
 the ``repro run --config`` CLI, and any external caller holding a
 config: resolve the workload through the source registry, the policy
-through the consistency registry, assemble the stack via
-:func:`repro.api.runs.build_stack`, run to the horizon, and report a
-:class:`~repro.api.results.ResultSet` with a declared column schema.
+through the consistency registry, build the topology — ``single`` and
+``hierarchy`` included — as one
+:class:`~repro.topology.tree.TopologyTree`, run to the horizon, and
+report a :class:`~repro.api.results.ResultSet` with a declared column
+schema.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycle
     from repro.groups.registry import GroupRegistry
     from repro.sim.tracing import EventLog
-    from repro.topology.sharding import ShardSelection
 
 from repro.api.config import (
     CacheConfig,
@@ -73,7 +74,7 @@ from repro.proxy.cache import ObjectCache
 from repro.proxy.proxy import ProxyCache
 from repro.proxy.ttl_registry import TTLClassRegistry
 from repro.topology.levels import TopologyError, TreeLevel, warm_up_bound
-from repro.topology.tree import TopologyTree
+from repro.topology.tree import LinkLabeler, NodeNamer, TopologyTree
 from repro.traces.model import UpdateTrace
 
 #: The declared schema every simulation outcome reports, per (node,
@@ -95,9 +96,7 @@ RESULT_COLUMNS: Tuple[str, ...] = OBJECT_ROW_COLUMNS + GROUP_ROW_COLUMNS[1:]
 
 #: A hook run on the live tree after registration, before the run — the
 #: seam load drivers (e.g. the scale benchmark's client pumps) use to
-#: attach extra event sources.  Sharded execution pickles the hook to
-#: worker processes, so it must be a module-level function or a
-#: ``functools.partial`` over one.
+#: attach extra event sources.
 TreeInstrument = Callable[[TopologyTree], None]
 
 
@@ -114,15 +113,15 @@ class SimulationOutcome:
             :data:`RESULT_COLUMNS` schema.
         edges: Edge proxies (empty for the ``single`` topology and for
             one-level trees).
-        tree: The live :class:`~repro.topology.tree.TopologyTree` for
-            ``tree`` topologies, else ``None``.
+        tree: The live :class:`~repro.topology.tree.TopologyTree` the
+            run built (every topology kind runs as one).
     """
 
     config: SimulationConfig
     run: RunResult
     results: ResultSet
     edges: List[ProxyCache]
-    tree: Optional[TopologyTree] = None
+    tree: TopologyTree
 
 
 def _policy_factory(policy: PolicyConfig) -> PolicyFactory:
@@ -308,50 +307,54 @@ def _resolve_horizon(
     return horizon
 
 
-#: Columnar result-row batches keyed by their node's ``(level, index)``
-#: — the sort key sharded execution merges on.  Batches carry only the
-#: :data:`~repro.metrics.collector.OBJECT_ROW_COLUMNS` subset (smaller
-#: to pickle across the shard boundary); the merged assembly pads the
-#: ``group*`` columns when materializing under :data:`RESULT_COLUMNS`.
-KeyedRows = List[Tuple[Tuple[int, int], ColumnarBuilder]]
+def _fixed_link_label(level: int, index: int) -> str:
+    return "network" if level == 0 else f"network.edge-{index}"
 
 
-def _keyed_tree_rows(
-    tree: TopologyTree,
-    traces: Sequence[UpdateTrace],
-    delta: Optional[float],
-    horizon: float,
-    owns: Optional["frozenset[Tuple[int, int]]"] = None,
-) -> KeyedRows:
-    """Result-row batches per tree node, keyed by ``(level, index)``.
+def _tree_shape(
+    topology: TopologyConfig,
+) -> Tuple[Tuple[LevelConfig, ...], Optional[NodeNamer], Optional[LinkLabeler]]:
+    """Every topology kind as tree levels, plus its node and link labels.
 
-    The key is the merge key for sharded execution: shards return
-    disjoint keyed batch lists and the merged table sorts by key, which
-    reproduces the serial ``tree.nodes`` traversal order exactly.
-    ``owns`` restricts collection to a shard's owned nodes (a node
-    registered only as another shard's ancestor replica must not be
-    scored twice).
+    ``single`` is one node and ``hierarchy`` one parent fanning out to
+    ``edge_count`` edges; ``tree`` configs carry their levels and use
+    the tree's default ``L{level}.N{index}`` labels (``None`` here).
     """
-    keyed: KeyedRows = []
-    for node in tree.nodes:
-        key = (node.level, node.index)
-        if owns is not None and key not in owns:
-            continue
-        batch = ColumnarBuilder(OBJECT_ROW_COLUMNS)
-        # Level-0 nodes track the origin itself and score at poll
-        # times; deeper nodes refresh to parent-current (possibly
-        # stale) state and are scored from the snapshots actually held.
-        append_object_rows(
-            batch.row_writer(OBJECT_ROW_COLUMNS),
-            node.name,
-            node.proxy,
-            traces,
-            delta,
-            horizon=horizon,
-            snapshots=node.level > 0,
+    if topology.kind == "tree":
+        return topology.levels, None, None
+    # Node names label result rows and link labels seed per-link jitter
+    # streams, so both are part of these topologies' output.
+    root = "proxy" if topology.kind == "single" else "parent"
+
+    def name(level: int, index: int) -> str:
+        return root if level == 0 else f"edge-{index}"
+
+    levels = (LevelConfig(fan_out=1),)
+    if topology.kind == "hierarchy":
+        levels += (LevelConfig(fan_out=topology.edge_count),)
+    return levels, name, _fixed_link_label
+
+
+def _check_bounded_interior(
+    config: SimulationConfig, depth: int, object_count: int
+) -> None:
+    """Refuse bounded caches that would evict from an interior proxy.
+
+    A parent answers a child's poll only from its own cache
+    (:meth:`~repro.proxy.proxy.ProxyCache.handle_request`), so once an
+    interior node evicts an object its children's next poll for it
+    fails.  Single-node topologies evict freely; deeper ones need room
+    for every object.
+    """
+    capacity = config.cache.capacity
+    if depth > 1 and capacity is not None and capacity < object_count:
+        raise SimulationConfigError(
+            f"cache.capacity ({capacity}) is below the workload's "
+            f"{object_count} objects in a {depth}-level topology: an "
+            "interior proxy would evict objects its children still "
+            "poll, and a parent serves children only from its own "
+            "cache; raise the capacity or use topology.kind 'single'"
         )
-        keyed.append((key, batch))
-    return keyed
 
 
 def _run_tree(
@@ -359,19 +362,15 @@ def _run_tree(
     traces: Sequence[UpdateTrace],
     policy_factory: PolicyFactory,
     *,
-    selection: Optional["ShardSelection"] = None,
     instrument: Optional[TreeInstrument] = None,
-) -> Tuple[SimulationOutcome, KeyedRows]:
-    """The ``tree`` execution path: one TopologyTree, rows per node.
+) -> SimulationOutcome:
+    """Run any topology as one TopologyTree and report rows per node.
 
-    Returns the outcome plus its rows keyed by ``(level, index)`` —
-    the merge key sharded execution sorts on.  ``selection`` (sharded
-    execution only) restricts object registration to the shard's cone
-    and row collection to its owned nodes; ``instrument`` runs on the
-    live tree after registration, before the clock starts.
+    ``instrument`` runs on the live tree after registration, before
+    the clock starts.
     """
+    level_configs, node_namer, link_labeler = _tree_shape(config.topology)
     default_latency = _latency_of(config.network)
-    level_configs: Sequence[LevelConfig] = config.topology.levels
     levels = tuple(
         TreeLevel(
             fan_out=level.fan_out,
@@ -390,6 +389,9 @@ def _run_tree(
         else _policy_factory(level.policy)
         for level in level_configs
     ]
+    group_registry = _resolve_groups(config, traces)
+    horizon = _resolve_horizon(config, traces, levels)
+    _check_bounded_interior(config, len(levels), len(traces))
 
     def link_rng(label: str) -> random.Random:
         # One seeded stream per link; links with zero jitter simply
@@ -409,6 +411,8 @@ def _run_tree(
             want_history=config.want_history,
             event_log=event_log,
             link_rng=link_rng,
+            node_namer=node_namer,
+            link_labeler=link_labeler,
             cache_factory=_cache_factory(config.cache),
         )
     except TopologyError as exc:
@@ -417,28 +421,31 @@ def _run_tree(
     def level_policy(level: int, object_id: ObjectId) -> RefreshPolicy:
         return level_factories[level](object_id)
 
-    group_registry = _resolve_groups(config, traces)
     _attach_coordinators(
         config, group_registry, [node.proxy for node in tree.nodes]
     )
-    node_filter = selection.node_filter if selection is not None else None
     for trace in traces:
-        tree.register_object(
-            trace.object_id, level_policy, node_filter=node_filter
-        )
+        tree.register_object(trace.object_id, level_policy)
     if instrument is not None:
         instrument(tree)
 
-    horizon = _resolve_horizon(config, traces, levels)
     kernel.run(until=horizon)
 
-    owns = selection.owns if selection is not None else None
-    keyed = _keyed_tree_rows(
-        tree, traces, config.fidelity_delta_s, horizon, owns
-    )
     assembly = ColumnarBuilder(RESULT_COLUMNS)
-    for _key, batch in keyed:
-        assembly.extend(batch)
+    write_object = assembly.row_writer(OBJECT_ROW_COLUMNS)
+    for node in tree.nodes:
+        # Level-0 nodes track the origin itself and score at poll
+        # times; deeper nodes refresh to parent-current (possibly
+        # stale) state and are scored from the snapshots actually held.
+        append_object_rows(
+            write_object,
+            node.name,
+            node.proxy,
+            traces,
+            config.fidelity_delta_s,
+            horizon=horizon,
+            snapshots=node.level > 0,
+        )
     if group_registry is not None:
         write_group = assembly.row_writer(GROUP_ROW_COLUMNS)
         traces_by_id = {trace.object_id: trace for trace in traces}
@@ -454,7 +461,7 @@ def _run_tree(
     edges = (
         [node.proxy for node in tree.edge_nodes] if tree.depth > 1 else []
     )
-    outcome = SimulationOutcome(
+    return SimulationOutcome(
         config=config,
         run=RunResult(
             kernel=kernel,
@@ -466,32 +473,6 @@ def _run_tree(
         results=assembly.build(),
         edges=edges,
         tree=tree,
-    )
-    return outcome, keyed
-
-
-def _run_tree_config(
-    config: SimulationConfig,
-    *,
-    selection: Optional["ShardSelection"] = None,
-    instrument: Optional[TreeInstrument] = None,
-) -> Tuple[SimulationOutcome, KeyedRows]:
-    """Resolve and execute one ``tree`` config (sharding's entry point).
-
-    Identical to the ``tree`` branch of :func:`run_simulation`, but
-    exposes the shard ``selection`` seam and returns the keyed rows a
-    shard worker ships back for the deterministic merge.
-    """
-    traces = resolve_workload(config.workload, config.seed)
-    policy_factory = _with_ttl_classes(
-        _policy_factory(config.policy), config.cache
-    )
-    return _run_tree(
-        config,
-        traces,
-        policy_factory,
-        selection=selection,
-        instrument=instrument,
     )
 
 
@@ -506,130 +487,24 @@ def run_simulation(
     Deterministic in ``config.seed``; raises
     :class:`~repro.api.config.SimulationConfigError` for unresolvable
     sources, policies, or object keys before any simulation starts.
+    Every topology kind runs as one
+    :class:`~repro.topology.tree.TopologyTree` in this process.
 
-    ``workers`` is consumed only by sharded configs
-    (``config.shards > 1``): the number of worker processes executing
-    shard partitions (``None``: one per shard).  ``instrument`` (tree
-    topologies only) runs on each live tree after registration —
-    under sharding it is pickled to worker processes, so it must be a
-    module-level callable or a :class:`functools.partial` over one.
+    ``instrument`` runs on the live tree after registration, before
+    the clock starts.  ``workers`` must be ``None``: sharded execution
+    across worker processes was removed.
     """
-    if instrument is not None and config.topology.kind != "tree":
+    if workers is not None:
         raise SimulationConfigError(
-            "instrument hooks require the 'tree' topology, "
-            f"got {config.topology.kind!r}"
+            f"run_simulation(workers={workers!r}) is not supported: "
+            "sharded execution was removed and every run is serial; "
+            "pass workers=None"
         )
-    if config.shards > 1:
-        from repro.topology.sharding import run_sharded
-
-        return run_sharded(config, workers=workers, instrument=instrument)
-    if config.topology.kind == "tree":
-        outcome, _keyed = _run_tree_config(config, instrument=instrument)
-        return outcome
     traces = resolve_workload(config.workload, config.seed)
     policy_factory = _with_ttl_classes(
         _policy_factory(config.policy), config.cache
     )
-    latency = _latency_of(config.network)
-
-    def _link_rng(name: str) -> Optional[random.Random]:
-        # Jitter draws need a seeded stream per link; without jitter the
-        # latency model never consults the rng, so skip the allocation
-        # (and keep the zero-latency hot path byte-identical).
-        if config.network.jitter_s == 0:
-            return None
-        return random.Random(derive_seed(config.seed, name))
-
-    # single and hierarchy are the two historical degenerate trees:
-    # one node, or one parent fanning out to edge_count edges.  They
-    # build through the same topology layer as arbitrary trees, with
-    # their historical node names and RNG link labels preserved.
-    hierarchy = config.topology.kind == "hierarchy"
-    levels = (TreeLevel(fan_out=1, latency=latency),) + (
-        (TreeLevel(fan_out=config.topology.edge_count, latency=latency),)
-        if hierarchy
-        else ()
-    )
-    kernel, server, event_log = build_core(
-        traces,
-        supports_history=config.supports_history,
-        log_events=config.log_events,
-    )
-    tree = TopologyTree(
-        kernel,
-        server,
-        levels,
-        want_history=config.want_history,
-        event_log=event_log,
-        link_rng=_link_rng,
-        node_namer=lambda level, index: (
-            "proxy" if level == 0 else f"edge-{index}"
-        ),
-        link_labeler=lambda level, index: (
-            "network" if level == 0 else f"network.edge-{index}"
-        ),
-        cache_factory=_cache_factory(config.cache),
-    )
-    proxy = tree.root.proxy
-    group_registry = _resolve_groups(config, traces)
-    _attach_coordinators(
-        config, group_registry, [node.proxy for node in tree.nodes]
-    )
-    for trace in traces:
-        tree.register_object(
-            trace.object_id,
-            lambda _level, object_id: policy_factory(object_id),
-        )
-
-    horizon = _resolve_horizon(config, traces, levels)
-    kernel.run(until=horizon)
-
-    edges = [node.proxy for node in tree.edge_nodes] if hierarchy else []
-    delta = config.fidelity_delta_s
-    primary = "proxy" if not edges else "parent"
-    assembly = ColumnarBuilder(RESULT_COLUMNS)
-    write_object = assembly.row_writer(OBJECT_ROW_COLUMNS)
-    append_object_rows(write_object, primary, proxy, traces, delta, horizon=horizon)
-    for index, edge in enumerate(edges):
-        # Edge proxies refresh to *parent*-current state, which can
-        # itself be stale, so they are scored from the snapshots
-        # actually held.
-        append_object_rows(
-            write_object,
-            f"edge-{index}",
-            edge,
-            traces,
-            delta,
-            horizon=horizon,
-            snapshots=True,
-        )
-    if group_registry is not None:
-        write_group = assembly.row_writer(GROUP_ROW_COLUMNS)
-        traces_by_id = {trace.object_id: trace for trace in traces}
-        append_group_rows(
-            write_group, primary, proxy, group_registry, traces_by_id, horizon
-        )
-        for index, edge in enumerate(edges):
-            append_group_rows(
-                write_group,
-                f"edge-{index}",
-                edge,
-                group_registry,
-                traces_by_id,
-                horizon,
-            )
-    return SimulationOutcome(
-        config=config,
-        run=RunResult(
-            kernel=kernel,
-            server=server,
-            proxy=proxy,
-            traces={trace.object_id: trace for trace in traces},
-            event_log=event_log,
-        ),
-        results=assembly.build(),
-        edges=edges,
-    )
+    return _run_tree(config, traces, policy_factory, instrument=instrument)
 
 
 class SimulationBuilder:
@@ -835,19 +710,10 @@ class SimulationBuilder:
         self._config = replace(self._config, log_events=enabled)
         return self
 
-    def shards(self, count: int) -> "SimulationBuilder":
-        """Partition a ``tree`` run across ``count`` shard processes."""
-        self._config = replace(self._config, shards=count)
-        return self
-
     def build(self) -> SimulationConfig:
         """The validated, serializable configuration built so far."""
         return self._config
 
-    def run(self, *, workers: Optional[int] = None) -> SimulationOutcome:
-        """Build and execute in one step.
-
-        ``workers`` caps the worker processes of a sharded run; it is
-        ignored (and harmless) for unsharded configs.
-        """
-        return run_simulation(self.build(), workers=workers)
+    def run(self) -> SimulationOutcome:
+        """Build and execute in one step."""
+        return run_simulation(self.build())

@@ -691,7 +691,7 @@ class SimulationConfig(_ConfigBase):
         groups: Mutual-consistency groups (explicit member lists and/or
             dependency-edge components); a non-empty section attaches a
             group registry and mutual-temporal coordinators per node
-            and adds per-group violation rows.  Requires ``shards=1``.
+            and adds per-group violation rows.
         seed: Root RNG seed (derives every substream).
         horizon_s: Stop time; ``None`` runs to the longest trace end.
         fidelity_delta_s: Δt used for the fidelity columns of the
@@ -702,11 +702,8 @@ class SimulationConfig(_ConfigBase):
             default).
         fidelity: ``"exact"``, the only mode: every timer event is
             dispatched through the kernel.
-        shards: Worker-process partitions for ``tree`` topologies
-            (``1`` = unsharded).  The tree is split at a subtree
-            boundary level and shards merge deterministically — rows
-            are identical to an unsharded run.  See
-            :mod:`repro.topology.sharding`.
+        shards: ``1``, the only value: every run executes in one
+            process (sharded execution was removed).
     """
 
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
@@ -767,21 +764,11 @@ class SimulationConfig(_ConfigBase):
                 f"got {self.fidelity!r}"
             )
         _require_int("simulation", "shards", self.shards)
-        if self.shards < 1:
+        if self.shards != 1:
             raise SimulationConfigError(
-                f"simulation.shards must be >= 1, got {self.shards}"
-            )
-        if self.shards > 1 and self.topology.kind != "tree":
-            raise SimulationConfigError(
-                f"simulation.shards > 1 requires topology.kind 'tree' "
-                f"(the tree is split at a subtree boundary), "
-                f"got kind {self.topology.kind!r}"
-            )
-        if self.groups.enabled and self.shards > 1:
-            raise SimulationConfigError(
-                "groups cannot combine with shards > 1: a group's members "
-                "may span shard cones, and the coordinator needs to "
-                "observe every member's polls on one proxy"
+                f"simulation.shards must be 1, got {self.shards}: sharded "
+                "execution was removed; every run executes in one "
+                "process (same result rows)"
             )
 
     # ------------------------------------------------------------------

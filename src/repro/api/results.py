@@ -18,11 +18,10 @@ column schema:
 Engines assemble results column-wise through :class:`ColumnarBuilder`:
 producers append cell values to typed column lists (absent cells are
 the :data:`MISSING` sentinel, *not* ``None`` — ``None`` is a real cell
-that exports as JSON ``null``), batches concatenate with plain
-``list.extend``, and rows materialize exactly once, at
-:meth:`ResultSet.from_columns` time.  That keeps the sharded merge free
+that exports as JSON ``null``), and rows materialize exactly once, at
+:meth:`ResultSet.from_columns` time.  That keeps result assembly free
 of per-row dict building and per-row schema validation: writers are
-checked against the schema when bound, batches when extended.
+checked against the schema when bound.
 """
 
 from __future__ import annotations
@@ -49,21 +48,9 @@ class ResultSchemaError(ReproError):
 
 
 class _Missing:
-    """The type of :data:`MISSING`; a process-wide singleton."""
+    """The type of :data:`MISSING`."""
 
     __slots__ = ()
-    _instance: Optional["_Missing"] = None
-
-    def __new__(cls) -> "_Missing":
-        # One instance per process, surviving pickling (sharded workers
-        # ship columnar batches back by pickle), so ``is MISSING``
-        # checks stay valid across process boundaries.
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __reduce__(self) -> Tuple[type, Tuple[()]]:
-        return (_Missing, ())
 
     def __repr__(self) -> str:
         return "MISSING"
@@ -285,13 +272,11 @@ class ColumnarBuilder:
 
     Producers bind a :meth:`row_writer` for the column subset their
     rows carry and append cell values positionally; columns outside the
-    subset receive :data:`MISSING` for that row.  Batches built against
-    compatible schemas concatenate with :meth:`extend` (sharded workers
-    pickle their batches back whole — column lists, not row dicts), and
-    :meth:`build` materializes every row exactly once.
+    subset receive :data:`MISSING` for that row, and :meth:`build`
+    materializes every row exactly once.
 
-    Schema validation happens at the batch granularity: unknown columns
-    fail when a writer is bound or a batch is extended, never per row.
+    Schema validation happens when a writer is bound: unknown columns
+    fail there, never per row.
     """
 
     __slots__ = ("columns", "_data")
@@ -348,27 +333,6 @@ class ColumnarBuilder:
                 append(MISSING)
 
         return write
-
-    def extend(self, batch: "ColumnarBuilder") -> None:
-        """Concatenate ``batch``'s rows onto this builder.
-
-        ``batch`` may declare any subset of this builder's columns
-        (its missing columns are padded with :data:`MISSING`); an
-        undeclared column is an error, exactly as for row dicts.
-        """
-        extra = sorted(set(batch.columns) - set(self.columns))
-        if extra:
-            raise ResultSchemaError(
-                f"batch has undeclared column(s) {extra}; "
-                f"declared: {list(self.columns)}"
-            )
-        count = len(batch)
-        for name in self.columns:
-            column = batch._data.get(name)
-            if column is not None:
-                self._data[name].extend(column)
-            else:
-                self._data[name].extend([MISSING] * count)
 
     def build(self) -> ResultSet:
         """Materialize the assembled columns into a :class:`ResultSet`."""

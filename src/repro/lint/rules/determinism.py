@@ -1,10 +1,10 @@
 """RL1xx — determinism rules.
 
 Every result in this reproduction depends on simulations being
-bit-identical across serial, ``--workers N``, and sharded execution
-(the golden suite pins it dynamically).  These
-rules reject the classic nondeterminism sources *statically*, before a
-violation can scramble a golden:
+bit-identical across serial and ``--workers N`` execution (the golden
+suite pins it dynamically).  These rules reject the classic
+nondeterminism sources *statically*, before a violation can scramble a
+golden:
 
 * RL101 — wall-clock / OS-entropy reads (``time.time()``,
   ``datetime.now()``, ``os.urandom()``, ...);

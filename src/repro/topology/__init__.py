@@ -23,10 +23,9 @@ a first-class, declarative object:
 
 The layers above construct through this package:
 :func:`repro.api.runs.build_stack` builds its single proxy as a
-one-node tree, :func:`repro.api.builder.run_simulation` maps every
-``TopologyConfig`` kind (``single`` / ``hierarchy`` / ``tree``) onto a
-:class:`TopologyTree`, and :class:`repro.proxy.hierarchy.ProxyChain`
-survives as a deprecation shim over a fan-out-1 tree.
+one-node tree, and :func:`repro.api.builder.run_simulation` runs every
+``TopologyConfig`` kind (``single`` / ``hierarchy`` / ``tree``) as one
+:class:`TopologyTree`.
 """
 
 from repro.topology.protocols import PushCallback, PushSource, Upstream

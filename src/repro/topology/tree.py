@@ -167,11 +167,13 @@ class TopologyTree:
         link_rng: Resolves a link label to the RNG its jitter draws use
             (``None`` degrades jittery latency to its fixed one-way
             value).  Labels come from ``link_labeler``.
-        node_namer: Names nodes from (level, index); defaults to
-            ``L{level}.N{index}``.  The assembly layer overrides this to
-            keep historical names (``proxy``, ``edge-{i}``) stable.
+        node_namer: Names nodes from (level, index); ``None`` (default)
+            means ``L{level}.N{index}``.  The config runner overrides
+            this to keep the ``single``/``hierarchy`` names (``proxy``,
+            ``parent``, ``edge-{i}``) stable.
         link_labeler: Labels upstream links from (level, index) for RNG
-            derivation; defaults to ``network.L{level}.N{index}``.
+            derivation; ``None`` (default) means
+            ``network.L{level}.N{index}``.
         cache_factory: Builds each node's
             :class:`~repro.proxy.cache.ObjectCache` from (level, index)
             — bounded edge caches in an otherwise unbounded tree, say.
@@ -206,12 +208,16 @@ class TopologyTree:
         want_history: bool = True,
         event_log: Optional[EventLog] = None,
         link_rng: LinkRngFactory = _no_link_rng,
-        node_namer: NodeNamer = _default_namer,
-        link_labeler: LinkLabeler = _default_link_labeler,
+        node_namer: Optional[NodeNamer] = None,
+        link_labeler: Optional[LinkLabeler] = None,
         cache_factory: Optional[CacheFactory] = None,
     ) -> None:
         if not levels:
             raise TopologyError("a topology tree needs at least one level")
+        if node_namer is None:
+            node_namer = _default_namer
+        if link_labeler is None:
+            link_labeler = _default_link_labeler
         self._kernel = kernel
         self._origin = origin
         self._levels: Tuple[TreeLevel, ...] = tuple(levels)
@@ -353,18 +359,8 @@ class TopologyTree:
         self,
         object_id: ObjectId,
         policy_factory: Optional[LevelPolicyFactory] = None,
-        *,
-        node_filter: Optional[Callable[[int, int], bool]] = None,
     ) -> Dict[str, RefreshPolicy]:
         """Register an object at every node, root-first.
-
-        ``node_filter(level, index)`` restricts registration to a
-        subset of nodes — the sharded executor registers only a shard's
-        cone (its boundary subtrees plus all their ancestors; see
-        :mod:`repro.topology.sharding`).  The filter must be
-        ancestor-closed: a registered node's upstream proxy must itself
-        be registered, or its initial fetch 404s against an empty
-        parent cache.  Filtered-out nodes stay constructed but idle.
 
         Pull nodes get ``policy_factory(level, object_id)`` (required if
         any level pulls); push nodes get a
@@ -395,10 +391,6 @@ class TopologyTree:
         for level_number, row in enumerate(self._by_level):
             level = self._levels[level_number]
             for node in row:
-                if node_filter is not None and not node_filter(
-                    level_number, node.index
-                ):
-                    continue
                 policy: RefreshPolicy
                 if level.mode == PUSH:
                     policy = PassivePolicy()

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.api import (
+    GroupConfig,
     LevelConfig,
     Registry,
     RegistryError,
@@ -18,8 +20,12 @@ from repro.api import (
 )
 from repro.api.workloads import resolve_workload, workload_source_names
 from repro.cli import main
-from repro.consistency.base import fixed_policy_factory
+from repro.consistency.base import FixedTTRPolicy, fixed_policy_factory
 from repro.core.errors import PolicyConfigurationError
+from repro.server.origin import OriginServer
+from repro.server.updates import feed_traces
+from repro.sim.kernel import Kernel
+from repro.topology import TopologyTree, uniform_levels
 
 
 def _tiny_builder() -> SimulationBuilder:
@@ -30,6 +36,36 @@ def _tiny_builder() -> SimulationBuilder:
         .fidelity_delta(600.0)
         .seed(7)
     )
+
+
+#: Rows-CSV SHA-256 of :func:`_pinned_builder` per topology kind,
+#: recorded when ``single``/``hierarchy`` still ran on their own code
+#: path; folding them into the tree runner must not move a byte.
+PINNED_ROWS_SHA256 = {
+    "single": "1d53743d14861019f1c48bfa4e65129d3b12e9ef1de5788134ca8846d386769d",
+    "hierarchy": "92ed77bd9730aecf04fb3d453f2b8ea7b8bbbe24e16016814df22f09bb666a33",
+}
+
+
+def _pinned_builder(kind: str) -> SimulationBuilder:
+    """Jittery links (so RNG link labels matter) plus a groups section
+    (so group rows are emitted) over a fixed-shape topology."""
+    builder = (
+        SimulationBuilder()
+        .workload("poisson", "a", "b", "c", rate_per_hour=30.0, hours=6.0)
+        .policy("limd", delta=300.0)
+        .network(30.0, jitter_s=20.0)
+        .groups([GroupConfig("ab", ("a", "b"), 120.0)], edges=[("b", "c")])
+        .fidelity_delta(600.0)
+        .seed(7)
+    )
+    if kind == "hierarchy":
+        return builder.topology("hierarchy", edge_count=2)
+    return builder.topology(kind)
+
+
+def _rows_sha256(outcome) -> str:
+    return hashlib.sha256(outcome.results.to_csv().encode()).hexdigest()
 
 
 class TestBuilder:
@@ -119,6 +155,9 @@ class TestRunSimulation:
         assert row["polls"] == direct.polls_of(traces[0].object_id)
         assert row["node"] == "proxy"
         assert row["updates"] == traces[0].update_count
+        assert outcome.tree is not None
+        assert outcome.tree.node_count == 1
+        assert outcome.run.proxy is outcome.tree.root.proxy
 
     def test_deterministic_in_seed(self):
         config = _tiny_builder().build()
@@ -128,12 +167,44 @@ class TestRunSimulation:
         other = run_simulation(config.with_seed(8)).results.to_json()
         assert other != first
 
+    @pytest.mark.parametrize("kind", sorted(PINNED_ROWS_SHA256))
+    def test_deterministic_rows_pinned(self, kind):
+        config = _pinned_builder(kind).build()
+        first = run_simulation(config)
+        assert _rows_sha256(first) == PINNED_ROWS_SHA256[kind]
+        assert _rows_sha256(run_simulation(config)) == PINNED_ROWS_SHA256[kind]
+        other = run_simulation(config.with_seed(8))
+        assert _rows_sha256(other) != PINNED_ROWS_SHA256[kind]
+        assert "group" in first.results.columns
+        assert any(row.get("group") is not None for row in first.results)
+
+    def test_instrument_hook_runs_on_single(self):
+        seen = []
+
+        def hook(tree):
+            seen.append((tree.kernel.now(), tree.node_count))
+            tree.kernel.schedule_at(60.0, lambda kernel: seen.append("fired"))
+
+        outcome = run_simulation(_tiny_builder().build(), instrument=hook)
+        assert seen == [(0.0, 1), "fired"]
+        assert outcome.tree is not None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_refused(self, workers):
+        with pytest.raises(SimulationConfigError, match="workers"):
+            run_simulation(_tiny_builder().build(), workers=workers)
+
     def test_hierarchy_reports_parent_and_edges(self):
         config = _tiny_builder().topology("hierarchy", edge_count=2).build()
         outcome = run_simulation(config)
         nodes = outcome.results.column("node")
         assert nodes == ["parent", "edge-0", "edge-1"]
         assert len(outcome.edges) == 2
+        assert outcome.tree is not None
+        assert [node.name for node in outcome.tree.nodes] == nodes
+        assert outcome.edges == [
+            node.proxy for node in outcome.tree.edge_nodes
+        ]
 
     def test_fidelity_skipped_without_delta(self):
         config = _tiny_builder().fidelity_delta(None).build()
@@ -274,14 +345,7 @@ class TestRunSimulationTree:
         assert run_simulation(config.with_seed(9)).results.to_json() != first
 
     def test_depth_n_tree_chain_reproduces_proxy_chain_rows(self):
-        """A fan-out-1 tree config matches the deprecated ProxyChain."""
-        from repro.api.deprecation import ReproDeprecationWarning
-        from repro.consistency.base import FixedTTRPolicy
-        from repro.proxy.hierarchy import ProxyChain
-        from repro.server.updates import feed_traces
-        from repro.server.origin import OriginServer
-        from repro.sim.kernel import Kernel
-
+        """A fan-out-1 tree config matches a hand-built proxy chain."""
         depth = 3
         config = (
             _tiny_builder()
@@ -294,8 +358,7 @@ class TestRunSimulationTree:
         kernel = Kernel()
         origin = OriginServer()
         feed_traces(kernel, origin, [trace])
-        with pytest.warns(ReproDeprecationWarning):
-            chain = ProxyChain(kernel, origin, depth=depth)
+        chain = TopologyTree(kernel, origin, uniform_levels(depth))
         chain.register_object(
             trace.object_id, lambda _level, _oid: FixedTTRPolicy(ttr=600.0)
         )
@@ -315,8 +378,8 @@ class TestRunSimulationTree:
         ]
         chain_log = [
             (record.time, record.snapshot.version, record.modified)
-            for proxy in chain.proxies
-            for record in proxy.entry_for(trace.object_id).fetch_log
+            for node in chain.nodes
+            for record in node.proxy.entry_for(trace.object_id).fetch_log
         ]
         assert tree_log == chain_log
 
@@ -332,6 +395,64 @@ class TestRunSimulationTree:
                     }
                 ],
             )
+
+
+class TestBoundedInteriorCaches:
+    """Bounded caches over interior proxies are refused up front.
+
+    A parent answers a child's poll only from its own cache, so an
+    interior eviction used to end the run with a 404 ``ProtocolError``
+    traceback mid-simulation.
+    """
+
+    OBJECTS = tuple(f"o{i}" for i in range(20))
+
+    def _builder(self, capacity: int) -> SimulationBuilder:
+        return (
+            SimulationBuilder()
+            .workload("poisson", *self.OBJECTS, rate_per_hour=6.0, hours=4.0)
+            .policy("limd", delta=300.0)
+            .cache(capacity)
+            .seed(7)
+        )
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            {"kind": "tree", "levels": [{"fan_out": 1}, {"fan_out": 2}]},
+            {"kind": "hierarchy", "edge_count": 2},
+        ],
+        ids=["tree-1-2", "hierarchy-2"],
+    )
+    def test_capacity_below_object_count_rejected(self, topology, monkeypatch):
+        from repro.api import builder as builder_module
+        from repro.api.config import TopologyConfig
+
+        config = self._builder(10).topology(TopologyConfig(**topology)).build()
+
+        def no_state(*_args, **_kwargs):
+            raise AssertionError("simulation state built before the check")
+
+        monkeypatch.setattr(builder_module, "build_core", no_state)
+        with pytest.raises(SimulationConfigError, match="cache.capacity"):
+            run_simulation(config)
+
+    def test_single_topology_may_evict(self):
+        outcome = self._builder(10).build()
+        rows = run_simulation(outcome).results.to_records()
+        assert len(rows) == len(self.OBJECTS)
+        assert sum(row["evictions"] for row in rows) > 0
+
+    @pytest.mark.parametrize("capacity", [20, 25])
+    def test_capacity_at_or_above_object_count_runs(self, capacity):
+        config = (
+            self._builder(capacity)
+            .topology("tree", levels=[{"fan_out": 1}, {"fan_out": 2}])
+            .build()
+        )
+        rows = run_simulation(config).results.to_records()
+        assert len(rows) == 3 * len(self.OBJECTS)
+        assert sum(row["evictions"] for row in rows) == 0
 
 
 class TestRunCli:

@@ -292,6 +292,21 @@ class TestRejection:
         with pytest.raises(SimulationConfigError, match="removed"):
             SimulationConfig.from_dict({"fidelity": "fastforward"})
 
+    @pytest.mark.parametrize("shards", [0, 2, 4])
+    def test_shards_other_than_one_rejected_as_removed(self, shards):
+        with pytest.raises(SimulationConfigError, match="shards must be 1"):
+            SimulationConfig(shards=shards)
+        with pytest.raises(SimulationConfigError, match="removed"):
+            SimulationConfig.from_dict(
+                {
+                    "topology": {
+                        "kind": "tree",
+                        "levels": [{"fan_out": 1}, {"fan_out": 4}],
+                    },
+                    "shards": shards,
+                }
+            )
+
     def test_unknown_fidelity_mode_rejected(self):
         with pytest.raises(SimulationConfigError, match="fidelity"):
             SimulationConfig(fidelity="approximate")

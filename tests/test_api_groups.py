@@ -80,20 +80,6 @@ class TestGroupsConfig:
         with pytest.raises(SimulationConfigError, match="mode"):
             GroupsConfig(mode="psychic")
 
-    def test_groups_require_unsharded_runs(self):
-        with pytest.raises(SimulationConfigError, match="shard"):
-            SimulationConfig.from_dict(
-                {
-                    "workload": _poisson_workload(),
-                    "groups": _groups_section(),
-                    "topology": {
-                        "kind": "tree",
-                        "levels": [{"fan_out": 1}, {"fan_out": 4}],
-                    },
-                    "shards": 2,
-                }
-            )
-
     def test_groups_require_exact_fidelity(self):
         # "exact" is the only fidelity; the removed fast-forward mode is
         # refused before groups are considered.
